@@ -121,12 +121,12 @@ class BoundReport:
         }
 
 
-def _sig6(x: float):
+def _sig6(x: float | None):
     """Round to 6 significant digits for stable serialization.
 
-    Non-finite values (vacuous epsilon at p' = 0) serialize as null.
+    None and non-finite values (vacuous epsilon at p' = 0) serialize as null.
     """
-    if not math.isfinite(x):
+    if x is None or not math.isfinite(x):
         return None
     if x == 0:
         return 0.0

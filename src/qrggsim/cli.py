@@ -18,8 +18,8 @@ from . import __version__
 from .bounds import full_report
 from .experiment import (
     ExperimentConfig,
-    result_to_capacity_csv,
-    result_to_histogram_csv,
+    capacity_csv,
+    histogram_csv,
     run_experiment,
     run_sweep,
     save_result,
@@ -32,6 +32,7 @@ from .graph import (
     multicast_capacity,
     save_graph,
     write_json_atomic,
+    write_text_atomic,
 )
 from .model import ConnectionModel, KERNEL_FIXED, KERNEL_LINEAR_DECAY
 from .rlnc import verify_achievability
@@ -306,13 +307,9 @@ def _cmd_experiment(args) -> int:
         save_result(result, args.out)
     else:
         _emit(result.to_json(), None)
-    if args.csv:
-        _write_text_atomic(args.csv, result_to_capacity_csv(result))
-    if args.hist_csv:
-        _write_text_atomic(args.hist_csv, result_to_histogram_csv(result))
-    if args.svg:
-        svg = histogram_svg(result.histogram_edges, result.histogram_counts)
-        _write_text_atomic(args.svg, svg)
+    _write_artifacts(
+        args, result.per_trial_capacity, result.histogram_edges, result.histogram_counts
+    )
     if any(not row["ok"] for row in result.audit_outcomes):
         print("[qrggsim] audit violation beyond sampling slack", file=sys.stderr)
         return EXIT_AUDIT
@@ -343,7 +340,7 @@ def _cmd_sweep(args) -> int:
         raise CliError(str(exc)) from exc
     csv = sweep_to_csv(rows)
     if args.out:
-        _write_text_atomic(args.out, csv)
+        write_text_atomic(args.out, csv)
     else:
         sys.stdout.write(csv)
     return EXIT_OK
@@ -364,37 +361,19 @@ def _cmd_export(args) -> int:
     with open(args.result, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     _print_resolved("export", {"result": args.result})
-    if args.csv:
-        lines = ["trial,capacity"] + [
-            f"{i},{c}" for i, c in enumerate(obj["per_trial_capacity"])
-        ]
-        _write_text_atomic(args.csv, "\n".join(lines) + "\n")
-    if args.hist_csv:
-        edges = obj["histogram"]["bin_edges"]
-        counts = obj["histogram"]["counts"]
-        lines = ["bin_lo,bin_hi,count"] + [
-            f"{lo:.6g},{hi:.6g},{c}" for lo, hi, c in zip(edges, edges[1:], counts)
-        ]
-        _write_text_atomic(args.hist_csv, "\n".join(lines) + "\n")
-    if args.svg:
-        svg = histogram_svg(obj["histogram"]["bin_edges"], obj["histogram"]["counts"])
-        _write_text_atomic(args.svg, svg)
+    hist = obj["histogram"]
+    _write_artifacts(args, obj["per_trial_capacity"], hist["bin_edges"], hist["counts"])
     return EXIT_OK
 
 
-def _write_text_atomic(path: str, text: str):
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_artifacts(args, capacities, edges, counts):
+    """The --csv, --hist-csv and --svg outputs shared by experiment and export."""
+    if args.csv:
+        write_text_atomic(args.csv, capacity_csv(capacities))
+    if args.hist_csv:
+        write_text_atomic(args.hist_csv, histogram_csv(edges, counts))
+    if args.svg:
+        write_text_atomic(args.svg, histogram_svg(edges, counts))
 
 
 _COMMANDS = {

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, cut_tail_bound, full_report, upper_bound_report
+from .bounds import BoundReport, _sig6, cut_tail_bound, full_report, upper_bound_report
 from .graph import build_connectivity_graph, min_cut, write_json_atomic
 from .model import ConnectionModel, KERNEL_LINEAR_DECAY
 from .rlnc import verify_achievability
@@ -98,24 +98,14 @@ class ExperimentResult:
             },
             "bound_report": self.bound_report.to_json(),
             "audit_outcomes": self.audit_outcomes,
-            "rlnc_success_fraction": _sig6_or_none(self.rlnc_success_fraction),
-            "skipped_cyclic_fraction": _sig6_or_none(self.skipped_cyclic_fraction),
+            "rlnc_success_fraction": _sig6(self.rlnc_success_fraction),
+            "skipped_cyclic_fraction": _sig6(self.skipped_cyclic_fraction),
             "provenance": {
                 "config": self.config.to_json(),
                 "tool_version": __version__,
                 "master_seed": self.config.master_seed,
             },
         }
-
-
-def _sig6(x: float) -> float:
-    if x == 0:
-        return 0.0
-    return float(f"{x:.6g}")
-
-
-def _sig6_or_none(x):
-    return None if x is None else _sig6(x)
 
 
 def run_trial(config: ExperimentConfig, trial_index: int):
@@ -200,9 +190,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     )
     if config.audit_epsilons:
         audits = audit_bounds(result, list(config.audit_epsilons))
-        result = ExperimentResult(
-            **{**result.__dict__, "audit_outcomes": audits}
-        )
+        result = replace(result, audit_outcomes=audits)
     return result
 
 
@@ -239,7 +227,7 @@ def audit_bounds(result: ExperimentResult, epsilons: list[float]) -> list[dict]:
     if vacuous:
         rows.append({
             "kind": "upper_capacity",
-            "epsilon": _sig6(eps_u) if math.isfinite(eps_u) else None,
+            "epsilon": _sig6(eps_u),
             "observed": None,
             "bound": None,
             "slack": None,
@@ -310,16 +298,15 @@ def save_result(result: ExperimentResult, path: str):
     write_json_atomic(path, result.to_json())
 
 
-def result_to_capacity_csv(result: ExperimentResult) -> str:
+def capacity_csv(capacities: list[int]) -> str:
     lines = ["trial,capacity"]
-    lines += [f"{i},{c}" for i, c in enumerate(result.per_trial_capacity)]
+    lines += [f"{i},{c}" for i, c in enumerate(capacities)]
     return "\n".join(lines) + "\n"
 
 
-def result_to_histogram_csv(result: ExperimentResult) -> str:
+def histogram_csv(edges: list[float], counts: list[int]) -> str:
     lines = ["bin_lo,bin_hi,count"]
-    edges = result.histogram_edges
-    for lo, hi, count in zip(edges, edges[1:], result.histogram_counts):
+    for lo, hi, count in zip(edges, edges[1:], counts):
         lines.append(f"{_sig6(lo):.6g},{_sig6(hi):.6g},{count}")
     return "\n".join(lines) + "\n"
 

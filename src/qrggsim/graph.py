@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,7 +152,6 @@ class CutResult:
     partition_vk: tuple[int, ...]  # source-side relays, sorted
     k: int
     capacity: int
-    is_minimum: bool
 
 
 def _check_terminal(graph: ConnectivityGraph, terminal: int):
@@ -178,122 +176,82 @@ def cut_capacity(graph: ConnectivityGraph, terminal: int, partition_vk) -> int:
     return total
 
 
-class _Dinic:
-    """Unit-capacity max flow with BFS level graphs."""
+def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None):
+    """Unit-capacity Dinic max flow from the source to one terminal.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head = [[] for _ in range(n)]  # node -> list of edge indices
-        self.to = []
-        self.cap = []
+    Arcs are source->relay, both directions of each relay-relay edge (pairs
+    i < j row-major, i->j first) and relay->terminal, in that order; the
+    residual partner of arc e is e ^ 1. Other terminals get no arcs. The
+    augmenting DFS is iterative and takes each node's arcs in index order,
+    so the flow found is a function of the graph alone. Stops early once
+    `limit` units flow.
 
-    def add_edge(self, u: int, v: int, cap: int):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def add_undirected(self, u: int, v: int):
-        # Two antiparallel unit arcs; residual cancellation keeps cut values
-        # identical to the undirected formulation.
-        self.add_edge(u, v, 1)
-        self.add_edge(v, u, 1)
-
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    q.append(v)
-        return self.level[t] >= 0
-
-    def _dfs(self, u: int, t: int, f: int, it) -> int:
-        if u == t:
-            return f
-        while it[u] < len(self.head[u]):
-            e = self.head[u][it[u]]
-            v = self.to[e]
-            if self.cap[e] > 0 and self.level[v] == self.level[u] + 1:
-                d = self._dfs(v, t, min(f, self.cap[e]), it)
-                if d > 0:
-                    self.cap[e] -= d
-                    self.cap[e ^ 1] += d
-                    return d
-            it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
-        flow = 0
-        while self._bfs(s, t):
-            it = [0] * self.n
-            while True:
-                budget = (limit - flow) if limit is not None else (1 << 30)
-                if budget <= 0:
-                    return flow
-                f = self._dfs(s, t, budget, it)
-                if f == 0:
-                    break
-                flow += f
-            if limit is not None and flow >= limit:
-                return flow
-        return flow
-
-    def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
-
-
-def _flow_network(graph: ConnectivityGraph, terminal: int) -> _Dinic:
-    """Directed unit-capacity network for one s-t computation.
-
-    The source has only outgoing arcs, the chosen terminal only incoming
-    arcs, and the other terminals are absorbing (all their edges dropped).
+    Returns (flow, level, to, cap): level[v] >= 0 iff v is reachable from the
+    source in the final residual network; arc e runs to to[e] with residual
+    capacity cap[e].
     """
     a = graph.adjacency
-    dinic = _Dinic(graph.n_nodes)
-    for i in graph.relay_ids:
-        if a[0, i]:
-            dinic.add_edge(0, i, 1)
-    relays = graph.relay_ids
-    for idx, i in enumerate(relays):
-        for j in relays[idx + 1 :]:
-            if a[i, j]:
-                dinic.add_undirected(i, j)
-    for i in relays:
-        if a[i, terminal]:
-            dinic.add_edge(i, terminal, 1)
-    return dinic
+    r = slice(1, 1 + graph.n_relays)
+    src = np.flatnonzero(a[0, r]) + 1
+    i, j = np.nonzero(np.triu(a[r, r], 1))
+    dst = np.flatnonzero(a[r, terminal]) + 1
+    tail = np.concatenate([np.zeros_like(src), np.stack([i, j], 1).ravel() + 1, dst])
+    head = np.concatenate([src, np.stack([j, i], 1).ravel() + 1, np.full_like(dst, terminal)])
+    # Arc 2k is tail[k] -> head[k] with capacity 1; arc 2k + 1 is its partner.
+    frm = np.stack([tail, head], 1).ravel()
+    # Node u's arcs, in index order, are adj[start[u]:start[u + 1]].
+    order = np.argsort(frm, kind="stable")
+    start = np.searchsorted(frm[order], np.arange(graph.n_nodes + 1)).tolist()
+    adj = order.tolist()
+    to = np.stack([head, tail], 1).ravel().tolist()
+    cap = [1, 0] * len(head)
+    limit = len(src) if limit is None else min(limit, len(src))
+
+    flow = 0
+    while True:
+        level = [-1] * graph.n_nodes
+        level[0] = 0
+        queue = [0]
+        for u in queue:
+            for e in adj[start[u]:start[u + 1]]:
+                if cap[e] and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[terminal] < 0 or flow >= limit:
+            return flow, level, to, cap
+        it = start[:]  # current-arc pointer per node
+        path = []      # arcs from the source to u
+        u = 0
+        while flow < limit:
+            if u == terminal:
+                for e in path:
+                    cap[e] -= 1
+                    cap[e ^ 1] += 1
+                flow += 1
+                path.clear()
+                u = 0
+            elif it[u] == start[u + 1]:  # dead end: retreat one arc
+                if not path:
+                    break
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                e = adj[it[u]]
+                if cap[e] and level[to[e]] == level[u] + 1:
+                    path.append(e)
+                    u = to[e]
+                else:
+                    it[u] += 1
 
 
 def min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:
     """Exact s-t min cut via integer max flow; certificate is the
     source-side-minimal relay partition (residual reachability)."""
     _check_terminal(graph, terminal)
-    dinic = _flow_network(graph, terminal)
-    value = dinic.max_flow(0, terminal)
-    reachable = dinic.residual_reachable(0)
-    partition = tuple(sorted(r for r in graph.relay_ids if r in reachable))
+    value, level, _, _ = _max_flow(graph, terminal)
+    partition = tuple(r for r in graph.relay_ids if level[r] >= 0)
     return CutResult(
-        terminal=terminal,
-        partition_vk=partition,
-        k=len(partition),
-        capacity=value,
-        is_minimum=True,
+        terminal=terminal, partition_vk=partition, k=len(partition), capacity=value
     )
 
 
@@ -302,46 +260,13 @@ def edge_disjoint_paths(
 ) -> list[list[int]]:
     """Decompose an integral max flow into edge-disjoint s->t node paths."""
     _check_terminal(graph, terminal)
-    dinic = _Dinic(graph.n_nodes)
-    a = graph.adjacency
-    # Rebuild with original capacities remembered for flow extraction.
-    arcs = []  # (u, v, edge_index)
-    for i in graph.relay_ids:
-        if a[0, i]:
-            arcs.append((0, i, len(dinic.to)))
-            dinic.add_edge(0, i, 1)
-    relays = graph.relay_ids
-    for idx, i in enumerate(relays):
-        for j in relays[idx + 1 :]:
-            if a[i, j]:
-                arcs.append((i, j, len(dinic.to)))
-                dinic.add_edge(i, j, 1)
-                arcs.append((j, i, len(dinic.to)))
-                dinic.add_edge(j, i, 1)
-    for i in relays:
-        if a[i, terminal]:
-            arcs.append((i, terminal, len(dinic.to)))
-            dinic.add_edge(i, terminal, 1)
-    flow = dinic.max_flow(0, terminal, limit=limit)
-
-    # Net flow per directed arc, cancelling antiparallel relay-relay flow.
+    flow, _, to, cap = _max_flow(graph, terminal, limit)
+    # Forward arc e carries cap[e ^ 1] units; antiparallel relay flows cancel.
+    used = {(to[e + 1], to[e]) for e in range(0, len(cap), 2) if cap[e + 1]}
     out_flow: dict[int, list[int]] = {}
-    net: dict[tuple[int, int], int] = {}
-    for u, v, e in arcs:
-        f = dinic.cap[e ^ 1]  # reverse-edge capacity equals pushed flow
-        if f > 0:
-            net[(u, v)] = net.get((u, v), 0) + f
-    for (u, v), f in list(net.items()):
-        back = net.get((v, u), 0)
-        if back > 0:
-            cancel = min(f, back)
-            net[(u, v)] -= cancel
-            net[(v, u)] -= cancel
-    for (u, v), f in net.items():
-        if f > 0:
+    for u, v in sorted(used):
+        if (v, u) not in used:
             out_flow.setdefault(u, []).append(v)
-    for v in out_flow:
-        out_flow[v].sort()
 
     paths = []
     for _ in range(flow):
@@ -389,7 +314,6 @@ def brute_force_min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:
         partition_vk=best_tuple,
         k=len(best_tuple),
         capacity=best_value,
-        is_minimum=True,
     )
 
 
@@ -439,13 +363,16 @@ def load_graph(path: str) -> ConnectivityGraph:
 
 
 def write_json_atomic(path: str, obj):
-    """Serialize to a temp file in the target directory, then rename."""
+    write_text_atomic(path, json.dumps(obj, indent=2) + "\n")
+
+
+def write_text_atomic(path: str, text: str):
+    """Write to a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -55,12 +55,13 @@ def build_coding_dag(graph: ConnectivityGraph, rate: int):
     """
     if rate < 0:
         raise ValueError("rate must be non-negative")
-    if rate > multicast_capacity(graph):
+    # A terminal with fewer than `rate` paths has a min cut below the rate.
+    flows = [edge_disjoint_paths(graph, t, limit=rate) for t in graph.terminal_ids]
+    if any(len(paths) < rate for paths in flows):
         raise ValueError("rate exceeds the multicast capacity")
 
     orientation: dict[tuple[int, int], tuple[int, int]] = {}
-    for t in graph.terminal_ids:
-        paths = edge_disjoint_paths(graph, t, limit=rate)
+    for paths in flows:
         for path in paths:
             for u, v in zip(path, path[1:]):
                 key = (min(u, v), max(u, v))

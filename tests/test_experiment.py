@@ -11,8 +11,8 @@ from qrggsim import (
     run_trial,
 )
 from qrggsim.experiment import (
-    result_to_capacity_csv,
-    result_to_histogram_csv,
+    capacity_csv,
+    histogram_csv,
     save_result,
     sweep_to_csv,
 )
@@ -166,14 +166,14 @@ class TestSerialization:
 
     def test_capacity_csv(self):
         result = run_experiment(small_config(trials=4))
-        csv = result_to_capacity_csv(result)
+        csv = capacity_csv(result.per_trial_capacity)
         lines = csv.strip().split("\n")
         assert lines[0] == "trial,capacity"
         assert len(lines) == 5
 
     def test_histogram_csv(self):
         result = run_experiment(small_config(trials=4))
-        csv = result_to_histogram_csv(result)
+        csv = histogram_csv(result.histogram_edges, result.histogram_counts)
         lines = csv.strip().split("\n")
         assert lines[0] == "bin_lo,bin_hi,count"
         assert len(lines) == len(result.histogram_counts) + 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from qrggsim import (
 )
 
 FIG3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
+FLOW_PIN = "8d16df39d7082cd8b5782647f5ce4251a1a6ff6f2fd444cd36f8db8ff4e2915e"
 
 
 def random_graph(seed, n_relays=None, n_terminals=None):
@@ -214,6 +216,16 @@ class TestFlowCertificate:
                     used.add(key)
                     assert g.adjacency[u, v] == 1
 
+    def test_long_chain_needs_no_recursion(self):
+        # s - r1 - ... - r1199 - t: 1200 hops, deeper than the default
+        # interpreter recursion limit.
+        hops = 1200
+        g = from_edges(hops - 1, 1, [(k, k + 1) for k in range(hops)])
+        res = min_cut(g, hops)
+        assert res.capacity == 1
+        assert res.partition_vk == ()
+        assert edge_disjoint_paths(g, hops) == [list(range(hops + 1))]
+
 
 class TestJson:
     def test_round_trip(self, tmp_path):
@@ -245,3 +257,31 @@ class TestJson:
             from_edges(2, 1, [(0, 3)])  # source-terminal
         with pytest.raises(ValueError):
             from_edges(1, 2, [(2, 3)])  # terminal-terminal
+
+
+def _flow_record(graphs) -> str:
+    """sha256 over each terminal's cut certificate and chosen paths."""
+    records = []
+    for g in graphs:
+        for t in g.terminal_ids:
+            cut = min_cut(g, t)
+            records.append([
+                cut.capacity,
+                list(cut.partition_vk),
+                edge_disjoint_paths(g, t),
+                edge_disjoint_paths(g, t, limit=max(cut.capacity - 1, 0)),
+            ])
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+class TestFlowPin:
+    def test_cuts_and_path_selection_are_pinned(self):
+        # RLNC success fractions depend on which paths the flow picks, so the
+        # choice itself is pinned, not only the capacity.
+        graphs = [random_graph(seed, n_relays=30, n_terminals=2 + seed % 3)
+                  for seed in range(30)]
+        graphs += [
+            build_connectivity_graph(200, 2 + seed % 3, FIG3, RandomStream.from_seed(seed))
+            for seed in range(10)
+        ]
+        assert _flow_record(graphs) == FLOW_PIN
