@@ -34,7 +34,6 @@ from .model import (
     KERNEL_FIXED,
     KERNEL_LINEAR_DECAY,
     KernelNotSupportedError,
-    connect_decision,
     connection_probability,
     effective_annulus_p,
     estimate_connection_probability,

@@ -22,7 +22,6 @@ from .experiment import (
     histogram_csv,
     run_experiment,
     run_sweep,
-    save_result,
     sweep_to_csv,
 )
 from .graph import (
@@ -302,15 +301,10 @@ def _cmd_experiment(args) -> int:
         resolved["preset"] = args.preset
         resolved["inferred_parameters"] = "p and terminals are inferred, not part of the preset's reference source"
     _print_resolved("experiment", resolved)
-    result = run_experiment(config, jobs=args.jobs)
-    if args.out:
-        save_result(result, args.out)
-    else:
-        _emit(result.to_json(), None)
-    _write_artifacts(
-        args, result.per_trial_capacity, result.histogram_edges, result.histogram_counts
-    )
-    if any(not row["ok"] for row in result.audit_outcomes):
+    doc = run_experiment(config, jobs=args.jobs).to_json()
+    _emit(doc, args.out)
+    _write_artifacts(args, doc)
+    if any(not row["ok"] for row in doc["audit_outcomes"]):
         print("[qrggsim] audit violation beyond sampling slack", file=sys.stderr)
         return EXIT_AUDIT
     return EXIT_OK
@@ -361,15 +355,18 @@ def _cmd_export(args) -> int:
     with open(args.result, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     _print_resolved("export", {"result": args.result})
-    hist = obj["histogram"]
-    _write_artifacts(args, obj["per_trial_capacity"], hist["bin_edges"], hist["counts"])
+    _write_artifacts(args, obj)
     return EXIT_OK
 
 
-def _write_artifacts(args, capacities, edges, counts):
-    """The --csv, --hist-csv and --svg outputs shared by experiment and export."""
+def _write_artifacts(args, doc: dict):
+    """The --csv, --hist-csv and --svg outputs shared by experiment and export.
+
+    Both read the result document, so export reproduces experiment's bytes.
+    """
+    edges, counts = doc["histogram"]["bin_edges"], doc["histogram"]["counts"]
     if args.csv:
-        write_text_atomic(args.csv, capacity_csv(capacities))
+        write_text_atomic(args.csv, capacity_csv(doc["per_trial_capacity"]))
     if args.hist_csv:
         write_text_atomic(args.hist_csv, histogram_csv(edges, counts))
     if args.svg:

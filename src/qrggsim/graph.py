@@ -1,10 +1,11 @@
 """Connectivity graphs and exact s-t min-cut / multicast capacity.
 
 Node ids are fixed by construction: 0 is the source, 1..n_relays are relays,
-and the next n_terminals ids are terminals. The adjacency matrix holds 0/1
-unit capacities; source-terminal and terminal-terminal entries are forced to
-zero (messages always pass through at least one relay, and terminal-terminal
-proximity can never carry source-to-terminal flow).
+and the next n_terminals ids are terminals. A graph is its unit edges, held
+as a sorted array of (i, j) rows with i < j; source-terminal and
+terminal-terminal edges are forbidden (messages always pass through at least
+one relay, and terminal-terminal proximity can never carry source-to-terminal
+flow).
 """
 
 from __future__ import annotations
@@ -26,27 +27,31 @@ BRUTE_FORCE_MAX_RELAYS = 20
 class ConnectivityGraph:
     n_relays: int
     n_terminals: int
-    adjacency: np.ndarray  # (N, N) uint8, N = 1 + n_relays + n_terminals
+    edges: np.ndarray  # (E, 2) int64 rows (i, j), i < j, lexicographically sorted, unique
     positions: np.ndarray | None = None
     model: ConnectionModel | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        n_total = 1 + self.n_relays + self.n_terminals
-        a = self.adjacency
-        if a.shape != (n_total, n_total):
-            raise ValueError("adjacency shape does not match node counts")
-        if np.any(a != a.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
-            raise ValueError("no self-loops")
-        for t in self.terminal_ids:
-            if a[0, t] != 0:
-                raise ValueError("source-terminal edges are forbidden")
-        tb = np.ix_(self.terminal_ids, self.terminal_ids)
-        if np.any(a[tb] != 0):
+        if self.n_relays < 0 or self.n_terminals < 0:
+            raise ValueError("node counts must be non-negative")
+        n_total = self.n_nodes
+        e = self.edges
+        if e.ndim != 2 or e.shape[1] != 2 or not np.issubdtype(e.dtype, np.integer):
+            raise ValueError("edges must be an (E, 2) integer array")
+        i, j = e[:, 0], e[:, 1]
+        if np.any(i < 0) or np.any(j >= n_total) or np.any(i >= j):
+            raise ValueError(f"edges need 0 <= i < j < {n_total}")
+        if np.any(np.diff(i * n_total + j) <= 0):
+            raise ValueError("edges must be sorted and unique")
+        first_t = 1 + self.n_relays
+        if np.any((i == 0) & (j >= first_t)):
+            raise ValueError("source-terminal edges are forbidden")
+        if np.any(i >= first_t):
             raise ValueError("terminal-terminal edges are forbidden")
-        a.setflags(write=False)
+        if self.positions is not None and self.positions.shape != (n_total, 2):
+            raise ValueError(f"positions must have shape ({n_total}, 2)")
+        e.setflags(write=False)
 
     @property
     def source(self) -> int:
@@ -65,21 +70,11 @@ class ConnectivityGraph:
         return 1 + self.n_relays + self.n_terminals
 
     def source_degree(self) -> int:
-        return int(self.adjacency[0].sum())
+        return int(np.count_nonzero(self.edges[:, 0] == 0))
 
     def edge_list(self) -> list[tuple[int, int]]:
         """All unit edges as sorted (i, j) pairs with i < j."""
-        iu, ju = np.triu_indices(self.n_nodes, k=1)
-        mask = self.adjacency[iu, ju] > 0
-        return sorted(zip(iu[mask].tolist(), ju[mask].tolist()))
-
-    def with_edge(self, i: int, j: int) -> "ConnectivityGraph":
-        """Copy of the graph with edge (i, j) added."""
-        a = self.adjacency.copy()
-        a[i, j] = a[j, i] = 1
-        return ConnectivityGraph(
-            self.n_relays, self.n_terminals, a, self.positions, self.model, self.seed
-        )
+        return [(i, j) for i, j in self.edges.tolist()]
 
 
 def from_edges(
@@ -90,15 +85,18 @@ def from_edges(
     model: ConnectionModel | None = None,
     seed: int | None = None,
 ) -> ConnectivityGraph:
-    """Build a graph from an explicit edge list (fixtures, JSON loading)."""
-    n_total = 1 + n_relays + n_terminals
-    a = np.zeros((n_total, n_total), dtype=np.uint8)
-    for i, j in edges:
-        if i == j or not (0 <= i < n_total and 0 <= j < n_total):
-            raise ValueError(f"bad edge ({i}, {j})")
-        a[i, j] = a[j, i] = 1
+    """Build a graph from an explicit edge list (fixtures, JSON loading).
+
+    Pairs may come in either orientation and repeat; each becomes one (i, j)
+    row with i < j.
+    """
+    e = np.asarray(edges)
+    if e.size == 0:
+        e = np.empty((0, 2), dtype=np.int64)
+    elif e.ndim == 2:  # any other shape is left for the constructor to reject
+        e = np.unique(np.sort(e, axis=1), axis=0)
     pos = None if positions is None else np.asarray(positions, dtype=float)
-    return ConnectivityGraph(n_relays, n_terminals, a, pos, model, seed)
+    return ConnectivityGraph(n_relays, n_terminals, e, pos, model, seed)
 
 
 def build_connectivity_graph(
@@ -138,11 +136,10 @@ def build_connectivity_graph(
     draws = edge_rng.random(int(stochastic.sum()))
     accept[stochastic] = draws < probs[stochastic]
 
-    a = np.zeros((n_total, n_total), dtype=np.uint8)
-    a[iu[accept], ju[accept]] = 1
-    a[ju[accept], iu[accept]] = 1
+    # triu_indices is row-major, so the accepted pairs are already sorted.
+    edges = np.stack([iu[accept], ju[accept]], 1)
     return ConnectivityGraph(
-        n_relays, n_terminals, a, positions, model, int(rng.master_seed)
+        n_relays, n_terminals, edges, positions, model, int(rng.master_seed)
     )
 
 
@@ -166,14 +163,14 @@ def cut_capacity(graph: ConnectivityGraph, terminal: int, partition_vk) -> int:
     relay_set = set(graph.relay_ids)
     if not set(vk) <= relay_set:
         raise ValueError("partition must be a subset of the relays")
-    vbar = sorted(relay_set - set(vk))
-    a = graph.adjacency
-    total = int(a[0, vbar].sum()) if vbar else 0
-    if vk and vbar:
-        total += int(a[np.ix_(vk, vbar)].sum())
-    if vk:
-        total += int(a[vk, terminal].sum())
-    return total
+    # Side 0 is the source with V_k, side 1 the other relays with the
+    # terminal, side -1 the other terminals; a row crosses iff its sides sum to 1.
+    side = np.full(graph.n_nodes, -1)
+    side[0] = 0
+    side[graph.relay_ids] = 1
+    side[vk] = 0
+    side[terminal] = 1
+    return int(np.count_nonzero(side[graph.edges].sum(axis=1) == 1))
 
 
 def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None):
@@ -190,13 +187,13 @@ def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
     source in the final residual network; arc e runs to to[e] with residual
     capacity cap[e].
     """
-    a = graph.adjacency
-    r = slice(1, 1 + graph.n_relays)
-    src = np.flatnonzero(a[0, r]) + 1
-    i, j = np.nonzero(np.triu(a[r, r], 1))
-    dst = np.flatnonzero(a[r, terminal]) + 1
-    tail = np.concatenate([np.zeros_like(src), np.stack([i, j], 1).ravel() + 1, dst])
-    head = np.concatenate([src, np.stack([j, i], 1).ravel() + 1, np.full_like(dst, terminal)])
+    e = graph.edges
+    i, j = e[:, 0], e[:, 1]
+    src = j[i == 0]
+    rr = e[(i > 0) & (j <= graph.n_relays)]
+    dst = i[j == terminal]
+    tail = np.concatenate([np.zeros_like(src), rr.ravel(), dst])
+    head = np.concatenate([src, rr[:, ::-1].ravel(), np.full_like(dst, terminal)])
     # Arc 2k is tail[k] -> head[k] with capacity 1; arc 2k + 1 is its partner.
     frm = np.stack([tail, head], 1).ravel()
     # Node u's arcs, in index order, are adj[start[u]:start[u + 1]].
@@ -290,10 +287,12 @@ def brute_force_min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:
     if n > BRUTE_FORCE_MAX_RELAYS:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_RELAYS}")
     relays = np.array(graph.relay_ids, dtype=int)
-    a = graph.adjacency
-    s_row = a[0, relays].astype(int)
-    t_col = a[relays, terminal].astype(int)
-    rr = a[np.ix_(relays, relays)].astype(int)
+    a = np.zeros((graph.n_nodes, graph.n_nodes), dtype=int)
+    for i, j in graph.edge_list():
+        a[i, j] = a[j, i] = 1
+    s_row = a[0, relays]
+    t_col = a[relays, terminal]
+    rr = a[np.ix_(relays, relays)]
 
     best_value = None
     best_tuple = None
@@ -343,14 +342,20 @@ def graph_to_json(graph: ConnectivityGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> ConnectivityGraph:
-    n_relays = int(obj["n_relays"])
-    n_terminals = len(obj["terminals"])
-    model = None if obj.get("model") is None else ConnectionModel.from_json(obj["model"])
-    positions = obj.get("positions") or None
-    return from_edges(
-        n_relays, n_terminals, obj["edges"], positions=positions, model=model,
-        seed=obj.get("seed"),
-    )
+    """Graph from its JSON document; a malformed document raises ValueError."""
+    try:
+        n_relays = int(obj["n_relays"])
+        terminals = obj["terminals"]
+        first_t = 1 + n_relays
+        if terminals != list(range(first_t, first_t + len(terminals))):
+            raise ValueError(f"terminals must be the ids that follow the relays, from {first_t}")
+        model = None if obj.get("model") is None else ConnectionModel.from_json(obj["model"])
+        return from_edges(
+            n_relays, len(terminals), obj["edges"], positions=obj.get("positions") or None,
+            model=model, seed=obj.get("seed"),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed graph document: {exc!r}") from exc
 
 
 def save_graph(graph: ConnectivityGraph, path: str):

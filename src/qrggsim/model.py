@@ -89,18 +89,6 @@ def kernel_probability(d, model: ConnectionModel):
     return out
 
 
-def connect_decision(u, v, model: ConnectionModel, rng: RandomStream) -> bool:
-    """Realize one edge. Consumes exactly one draw iff 0 < probability < 1."""
-    du = float(u[0]) - float(v[0])
-    dv = float(u[1]) - float(v[1])
-    prob = kernel_probability(math.hypot(du, dv), model)
-    if prob >= 1.0:
-        return True
-    if prob <= 0.0:
-        return False
-    return float(rng.random()) < prob
-
-
 def effective_annulus_p(model: ConnectionModel) -> float:
     """Mean annulus connection probability.
 

@@ -64,6 +64,19 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "capacity", "--graph", str(bad))
         assert code == 2
 
+    def test_malformed_graph_is_validation_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        for doc in [
+            {"n_relays": 2, "terminals": [7], "positions": [[0.1], [0.2]], "edges": []},
+            {"n_relays": 2, "terminals": [3], "positions": [[0.1], [0.2]], "edges": []},
+            {"n_relays": 2, "terminals": [3]},
+            [],
+        ]:
+            bad.write_text(json.dumps(doc))
+            code, _, err = run_cli(capsys, "capacity", "--graph", str(bad))
+            assert code == 1
+            assert "error" in err
+
 
 class TestGenerateAndCapacity:
     def test_round_trip(self, capsys, tmp_path):
@@ -250,6 +263,20 @@ class TestExport:
         run_cli(capsys, "export", "--result", str(result_path),
                 "--csv", str(exported_csv))
         assert inline_csv.read_text() == exported_csv.read_text()
+
+    def test_export_svg_matches_inline_with_bins(self, capsys, tmp_path):
+        result_path = tmp_path / "r.json"
+        inline_svg = tmp_path / "inline.svg"
+        run_cli(
+            capsys, "experiment", "--preset", "fig3", "--n", "60", "--trials", "30",
+            "--bins", "7", "--seed", "1", "--out", str(result_path),
+            "--svg", str(inline_svg),
+        )
+        exported_svg = tmp_path / "exported.svg"
+        code, _, _ = run_cli(capsys, "export", "--result", str(result_path),
+                             "--svg", str(exported_svg))
+        assert code == 0
+        assert inline_svg.read_bytes() == exported_svg.read_bytes()
 
 
 class TestVersion:

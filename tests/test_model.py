@@ -10,7 +10,6 @@ from qrggsim import (
     KernelNotSupportedError,
     RandomStream,
     build_connectivity_graph,
-    connect_decision,
     connection_probability,
     effective_annulus_p,
     estimate_connection_probability,
@@ -98,30 +97,36 @@ class TestKernelProbability:
             assert prob == 0.5
 
 
-class TestConnectDecision:
-    def test_within_inner_radius_always_connects(self, rng):
-        model = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.0)
-        assert connect_decision((0, 0), (0, 0.05), model, rng) is True
-
-    def test_beyond_outer_radius_never_connects(self, rng):
-        model = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=1.0)
-        assert connect_decision((0, 0), (0.9, 0.9), model, rng) is False
-
-    def test_deterministic_cases_consume_no_draws(self, rng):
-        model = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
-        a = RandomStream.from_seed(3)
-        b = RandomStream.from_seed(3)
-        connect_decision((0, 0), (0, 0.05), model, a)  # d <= r, no draw
-        connect_decision((0, 0), (0.9, 0.9), model, a)  # d > r', no draw
-        assert a.random() == b.random()
-
-    def test_annulus_acceptance_frequency(self):
-        model = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
-        stream = RandomStream.from_seed(17)
-        hits = sum(
-            connect_decision((0, 0), (0, 0.15), model, stream) for _ in range(100_000)
+class TestEdgeDraw:
+    def test_build_replays_one_draw_per_annulus_pair(self):
+        # Replays the edge stream with the scalar rule: d <= r always
+        # connects, d > r' never does and neither consumes a draw; an annulus
+        # pair takes the next draw and connects iff draw < p.
+        n_relays, n_terminals, seed = 150, 3, 21
+        g = build_connectivity_graph(
+            n_relays, n_terminals, FIG3, RandomStream.from_seed(seed)
         )
-        assert abs(hits / 100_000 - 0.5) < 0.01
+        first_t = 1 + n_relays
+        pairs = [
+            (i, j)
+            for i in range(g.n_nodes)
+            for j in range(i + 1, g.n_nodes)
+            if j < first_t or first_t > i > 0
+        ]
+        dist = [math.hypot(*(g.positions[i] - g.positions[j])) for i, j in pairs]
+        annulus = [FIG3.r < d <= FIG3.r_prime for d in dist]
+        draws = iter(
+            RandomStream.from_seed(seed).child("edges").random(sum(annulus)).tolist()
+        )
+        expected = [
+            pair
+            for pair, d, ann in zip(pairs, dist, annulus)
+            if (next(draws) < FIG3.p if ann else d <= FIG3.r)
+        ]
+        assert g.edge_list() == expected
+        inner = sum(d <= FIG3.r for d in dist)
+        assert inner > 0 and sum(annulus) > 500 and sum(d > FIG3.r_prime for d in dist) > 0
+        assert 0 < len(expected) - inner < sum(annulus)
 
 
 class TestPPrimeBounds:
@@ -198,8 +203,9 @@ class TestEdgeDependenceStatistics:
         xs, ys = [], []
         for i in range(10_000):
             g = build_connectivity_graph(2, 1, FIG3, root.child("draw", i))
-            xs.append(int(g.adjacency[0, 1]))
-            ys.append(int(g.adjacency[0, 2]))
+            edges = set(g.edge_list())
+            xs.append(int((0, 1) in edges))
+            ys.append(int((0, 2) in edges))
         corr = np.corrcoef(xs, ys)[0, 1]
         assert abs(corr) < 0.03
 
@@ -210,7 +216,8 @@ class TestEdgeDependenceStatistics:
         vw_all = []
         for i in range(10_000):
             g = build_connectivity_graph(3, 1, model, root.child("draw", i))
-            uv, uw, vw = g.adjacency[1, 2], g.adjacency[1, 3], g.adjacency[2, 3]
+            edges = set(g.edge_list())
+            uv, uw, vw = (1, 2) in edges, (1, 3) in edges, (2, 3) in edges
             vw_all.append(int(vw))
             if uv and uw:
                 vw_given_both.append(int(vw))
