@@ -129,6 +129,63 @@ class TestEdgeDraw:
         assert 0 < len(expected) - inner < sum(annulus)
 
 
+def _allowed_pairs(g):
+    """Role-allowed (i < j) pairs of g in row-major order, with distances."""
+    iu, ju = np.triu_indices(g.n_nodes, k=1)
+    first_t = 1 + g.n_relays
+    keep = (ju < first_t) | ((iu > 0) & (iu < first_t))
+    iu, ju = iu[keep], ju[keep]
+    d = np.hypot(*(g.positions[iu] - g.positions[ju]).T)
+    return iu, ju, d
+
+
+def _is_edge(g, iu, ju):
+    return np.isin(iu * g.n_nodes + ju, g.edges[:, 0] * g.n_nodes + g.edges[:, 1])
+
+
+class TestConnectDecision:
+    """The per-pair edge rule, read back from seeded builds."""
+
+    def test_within_inner_radius_always_connects(self, rng):
+        model = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.0)
+        g = build_connectivity_graph(200, 3, model, rng)
+        iu, ju, d = _allowed_pairs(g)
+        inner = d <= model.r
+        assert inner.sum() > 0
+        # p = 0: the edges are exactly the pairs within r.
+        np.testing.assert_array_equal(_is_edge(g, iu, ju), inner)
+
+    def test_beyond_outer_radius_never_connects(self, rng):
+        model = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=1.0)
+        g = build_connectivity_graph(200, 3, model, rng)
+        iu, ju, d = _allowed_pairs(g)
+        far = d > model.r_prime
+        assert far.sum() > 0
+        # p = 1: the edges are exactly the pairs within r'.
+        np.testing.assert_array_equal(_is_edge(g, iu, ju), ~far)
+
+    def test_deterministic_cases_consume_no_draws(self):
+        # The k-th annulus pair (row-major) takes the k-th draw of the edge
+        # stream; a draw spent on any d <= r or d > r' pair would shift them.
+        g = build_connectivity_graph(200, 3, FIG3, RandomStream.from_seed(3))
+        iu, ju, d = _allowed_pairs(g)
+        annulus = (d > FIG3.r) & (d <= FIG3.r_prime)
+        first_ann = np.flatnonzero(annulus)[0]
+        assert (d[:first_ann] <= FIG3.r).any() or (d[:first_ann] > FIG3.r_prime).any()
+        draws = RandomStream.from_seed(3).child("edges").random(int(annulus.sum()))
+        is_edge = _is_edge(g, iu, ju)
+        np.testing.assert_array_equal(is_edge[annulus], draws < FIG3.p)
+        np.testing.assert_array_equal(is_edge[~annulus], d[~annulus] <= FIG3.r)
+
+    def test_annulus_acceptance_frequency(self):
+        g = build_connectivity_graph(1700, 3, FIG3, RandomStream.from_seed(17))
+        iu, ju, d = _allowed_pairs(g)
+        annulus = (d > FIG3.r) & (d <= FIG3.r_prime)
+        assert annulus.sum() >= 100_000
+        hits = _is_edge(g, iu[annulus], ju[annulus]).mean()
+        assert abs(hits - 0.5) < 0.01
+
+
 class TestPPrimeBounds:
     def test_fig3_interval(self):
         lo, hi = p_prime_bounds(FIG3)
