@@ -19,6 +19,7 @@ from .bounds import full_report
 from .experiment import (
     ExperimentConfig,
     capacity_csv,
+    effective_jobs,
     histogram_csv,
     run_experiment,
     run_sweep,
@@ -96,6 +97,11 @@ def _resolve_seed(args) -> int:
         except ValueError as exc:
             raise CliError(f"QRGG_SEED is not an integer: {env!r}") from exc
     raise CliError("--seed is required (or set QRGG_SEED)")
+
+
+def _check_jobs(args):
+    if args.jobs < 1:
+        raise CliError("--jobs must be >= 1")
 
 
 def _print_resolved(name: str, resolved: dict):
@@ -294,9 +300,10 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _cmd_experiment(args) -> int:
+    _check_jobs(args)
     config = _experiment_config(args)
     resolved = config.to_json()
-    resolved["jobs"] = args.jobs
+    resolved["jobs"] = effective_jobs(args.jobs, config.trials)
     if args.preset:
         resolved["preset"] = args.preset
         resolved["inferred_parameters"] = "p and terminals are inferred, not part of the preset's reference source"
@@ -317,11 +324,12 @@ def _cmd_sweep(args) -> int:
         _parse_float_list(args.r_prime_list, "r'") if args.r_prime_list else None
     )
     seed = _resolve_seed(args)
+    _check_jobs(args)
     _print_resolved("sweep", {
         "n_list": n_list, "r_list": r_list, "r_prime_factor": args.r_prime_factor,
         "r_prime_list": r_prime_list, "p_connection": args.p_connection,
         "terminals": args.terminals, "trials": args.trials, "seed": seed,
-        "jobs": args.jobs,
+        "jobs": effective_jobs(args.jobs, args.trials),
     })
     try:
         rows = run_sweep(
@@ -355,8 +363,24 @@ def _cmd_export(args) -> int:
     with open(args.result, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     _print_resolved("export", {"result": args.result})
+    _check_result_shape(obj)
     _write_artifacts(args, obj)
     return EXIT_OK
+
+
+def _check_result_shape(obj):
+    """The fields _write_artifacts reads must be lists of numbers."""
+    try:
+        fields = (obj["per_trial_capacity"], obj["histogram"]["bin_edges"],
+                  obj["histogram"]["counts"])
+        ok = all(isinstance(values, list) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
+        ) for values in fields)
+    except (KeyError, TypeError):
+        ok = False
+    if not ok:
+        raise CliError("not an experiment result document: per_trial_capacity and "
+                       "histogram.bin_edges/counts must be lists of numbers")
 
 
 def _write_artifacts(args, doc: dict):

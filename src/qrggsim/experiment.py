@@ -9,6 +9,7 @@ parallel execution and aggregation order cannot change results.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -143,9 +144,15 @@ def _histogram(values: list[int], bins: int | None):
     return [float(e) for e in edges], [int(c) for c in counts]
 
 
+def effective_jobs(jobs: int, trials: int) -> int:
+    """Worker processes actually used: no more than the trials or the CPUs."""
+    return min(jobs, trials, os.cpu_count() or 1)
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Execute all trials, aggregate, and attach bound report and audits."""
     indices = range(config.trials)
+    jobs = effective_jobs(jobs, config.trials)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run_trial, [config] * config.trials, indices,

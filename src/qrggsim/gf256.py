@@ -86,43 +86,37 @@ class GF2:
         return 1
 
 
+def _row_reduce(rows: list[list[int]], ncols: int, field) -> int:
+    """Gauss-Jordan elimination in place over the first ncols columns
+    (row operations span whole rows); returns the rank."""
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [field.add(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 def matrix_rank(rows: list[list[int]], field=GF256) -> int:
     """Rank via exact Gaussian elimination over the field."""
     m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = field.inv(m[rank][col])
-        m[rank] = [field.mul(inv, x) for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [field.add(x, field.mul(factor, y)) for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    return _row_reduce(m, len(m[0]), field) if m else 0
 
 
 def solve_linear_system(matrix: list[list[int]], rhs: list[int], field=GF256):
     """Solve a square full-rank system M x = y; returns None if singular."""
     n = len(matrix)
     aug = [list(row) + [y] for row, y in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [field.mul(inv, x) for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [field.add(x, field.mul(factor, y)) for x, y in zip(aug[i], aug[col])]
+    if _row_reduce(aug, n, field) < n:
+        return None
     return [row[n] for row in aug]

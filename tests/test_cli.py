@@ -176,6 +176,29 @@ class TestExperiment:
         else:
             assert code == 0 and all(r["ok"] for r in rows)
 
+    @pytest.mark.parametrize("command", ["experiment", "sweep"])
+    def test_jobs_below_one_rejected(self, capsys, command):
+        if command == "experiment":
+            argv = ["experiment", "--n", "10", *FIG3_FLAGS]
+        else:
+            argv = ["sweep", "--n-list", "10", "--r-list", "0.1"]
+        for jobs in ("0", "-2"):
+            code, stdout, err = run_cli(capsys, *argv, "--trials", "2", "--seed", "1",
+                                        "--jobs", jobs)
+            assert code == 1
+            assert "--jobs" in err and stdout == ""
+
+    def test_resolved_config_shows_effective_jobs(self, capsys, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        code, _, err = run_cli(
+            capsys, "experiment", "--n", "10", *FIG3_FLAGS,
+            "--trials", "3", "--seed", "1", "--jobs", "64",
+        )
+        assert code == 0
+        resolved = json.loads(err.split("[qrggsim] experiment: ", 1)[1].split("\n", 1)[0])
+        assert resolved["jobs"] == 3
+        assert pool_sizes == [3]
+
     def test_bad_audit_epsilon(self, capsys):
         code, _, _ = run_cli(
             capsys, "experiment", "--n", "20", *FIG3_FLAGS,
@@ -277,6 +300,32 @@ class TestExport:
                              "--svg", str(exported_svg))
         assert code == 0
         assert inline_svg.read_bytes() == exported_svg.read_bytes()
+
+
+    @pytest.mark.parametrize("doc", [
+        [],
+        "result",
+        {},
+        {"histogram": {"bin_edges": [0, 1], "counts": [1]}},
+        {"per_trial_capacity": [1]},
+        {"per_trial_capacity": [1], "histogram": []},
+        {"per_trial_capacity": [1], "histogram": {"bin_edges": [0, 1]}},
+        {"per_trial_capacity": [1], "histogram": {"counts": [1]}},
+        {"per_trial_capacity": ["1"], "histogram": {"bin_edges": [0, 1], "counts": [1]}},
+        {"per_trial_capacity": [1], "histogram": {"bin_edges": [0, None], "counts": [1]}},
+        {"per_trial_capacity": [1], "histogram": {"bin_edges": [0, 1], "counts": [True]}},
+        {"per_trial_capacity": [1], "histogram": {"bin_edges": [0, 1], "counts": 1}},
+        {"per_trial_capacity": {"0": 1}, "histogram": {"bin_edges": [0, 1], "counts": [1]}},
+    ])
+    def test_wrong_shape_result_is_validation_error(self, capsys, tmp_path, doc):
+        result_path = tmp_path / "r.json"
+        result_path.write_text(json.dumps(doc))
+        csv = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "export", "--result", str(result_path),
+                               "--csv", str(csv))
+        assert code == 1
+        assert "error" in err
+        assert not csv.exists()
 
 
 class TestVersion:

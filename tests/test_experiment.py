@@ -10,6 +10,7 @@ from qrggsim import (
     run_sweep,
     run_trial,
 )
+from qrggsim import experiment
 from qrggsim.experiment import (
     capacity_csv,
     histogram_csv,
@@ -77,6 +78,20 @@ class TestRunExperiment:
         serial = json.dumps(run_experiment(config, jobs=1).to_json())
         parallel = json.dumps(run_experiment(config, jobs=4).to_json())
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs,trials,cpus,workers", [
+        (1000, 3, 8, 3),      # capped by trials
+        (1000, 10, 4, 4),     # capped by CPUs
+        (3, 10, 8, 3),        # as asked
+        (1000, 10, None, None),  # unknown CPU count: one, so no pool
+        (0, 10, 8, None),     # below one: serial
+    ])
+    def test_worker_count_is_capped(self, monkeypatch, pool_sizes, jobs, trials, cpus, workers):
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+        config = small_config(n_relays=10, trials=trials)
+        result = run_experiment(config, jobs=jobs)
+        assert pool_sizes == ([] if workers is None else [workers])
+        assert result.to_json() == run_experiment(config, jobs=1).to_json()
 
     def test_explicit_bin_count(self):
         result = run_experiment(small_config(histogram_bins=4))

@@ -1,16 +1,33 @@
+import hashlib
+import json
+
 import pytest
 
 from qrggsim import (
+    ConnectionModel,
     RandomStream,
     build_coding_dag,
+    build_connectivity_graph,
     butterfly_graph,
     from_edges,
     multicast_capacity,
     verify_achievability,
     xor_relay_demo,
 )
-from qrggsim.gf256 import GF2
+from qrggsim.gf256 import GF2, GF256
 from qrggsim.rlnc import CodingDag, CyclicSkip
+
+RLNC_PIN = "f6f8e3b74fb1f0f0fbd5c8317f727bfe786a42c7f160c66687504dfc636a74a1"
+
+
+def assert_cycle_in_graph(skip, graph, min_nodes):
+    """The reported cycle has distinct nodes, and each consecutive pair,
+    wrapping around, is an edge of the graph."""
+    cycle = skip.cycle
+    assert len(set(cycle)) == len(cycle) >= min_nodes
+    edges = set(graph.edge_list())
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        assert (min(u, v), max(u, v)) in edges
 
 
 class TestXorRelayDemo:
@@ -37,7 +54,7 @@ class TestBuildCodingDag:
         assert isinstance(dag, CodingDag)
         assert (3, 4) in dag.arcs  # mixing relay feeds the shared hop
         # two edge-disjoint arcs into each terminal
-        assert sorted(len(v) for v in dag.terminal_in_arcs.values()) == [2, 2]
+        assert sorted(len(dag.in_arcs[t]) for t in g.terminal_ids) == [2, 2]
         # path enumeration: every arc head is reachable after its tail
         pos = {v: i for i, v in enumerate(dag.topo_order)}
         assert all(pos[u] < pos[v] for u, v in dag.arcs)
@@ -52,7 +69,14 @@ class TestBuildCodingDag:
         assert h >= 1
         result = build_coding_dag(cyclic_graph, h)
         assert isinstance(result, CyclicSkip)
-        assert len(result.cycle) >= 2
+        assert_cycle_in_graph(result, cyclic_graph, 2)
+
+    def test_cycle_through_several_edges_yields_cyclic_skip(self, long_cycle_graph):
+        # No edge is used both ways, so only the topological sort sees the cycle.
+        assert multicast_capacity(long_cycle_graph) == 3
+        result = build_coding_dag(long_cycle_graph, 3)
+        assert isinstance(result, CyclicSkip)
+        assert_cycle_in_graph(result, long_cycle_graph, 3)
 
 
 class TestVerifyAchievability:
@@ -77,6 +101,12 @@ class TestVerifyAchievability:
 
     def test_cyclic_graph_reported_in_band(self, cyclic_graph):
         report = verify_achievability(cyclic_graph, 10, RandomStream.from_seed(4))
+        assert report.cyclic_skipped
+        assert report.success_fraction == 0.0
+
+    def test_long_cycle_reported_in_band(self, long_cycle_graph):
+        report = verify_achievability(long_cycle_graph, 10, RandomStream.from_seed(4))
+        assert report.h == 3
         assert report.cyclic_skipped
         assert report.success_fraction == 0.0
 
@@ -111,3 +141,35 @@ class TestVerifyAchievability:
     def test_trials_guard(self):
         with pytest.raises(ValueError):
             verify_achievability(butterfly_graph(), 0, RandomStream.from_seed(1))
+
+
+def _rlnc_record(graphs):
+    """sha256 over each graph's coding DAG (or cyclic flag) and its
+    achievability reports in both fields; also the number of cyclic graphs."""
+    records, cyclic = [], 0
+    for seed, g in enumerate(graphs):
+        dag = build_coding_dag(g, multicast_capacity(g))
+        if isinstance(dag, CyclicSkip):
+            cyclic += 1
+            records.append("cyclic")
+        else:
+            records.append([list(dag.topo_order), [list(a) for a in dag.arcs]])
+        for field in (GF256, GF2):
+            report = verify_achievability(g, 8, RandomStream.from_seed(seed), field=field)
+            records.append(report.to_json())
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest(), cyclic
+
+
+class TestRlncPin:
+    def test_dags_and_reports_are_pinned(self):
+        # The coefficient draws follow topo_order, so the order is pinned
+        # along with the arcs and every report.
+        small = ConnectionModel(r=0.2, r_prime=0.4, kernel="fixed", p=0.5)
+        fig3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
+        graphs = [build_connectivity_graph(30, 2 + seed % 3, small, RandomStream.from_seed(seed))
+                  for seed in range(30)]
+        graphs += [build_connectivity_graph(200, 2 + seed % 3, fig3, RandomStream.from_seed(seed))
+                   for seed in range(10)]
+        digest, cyclic = _rlnc_record(graphs)
+        assert 0 < cyclic < len(graphs)
+        assert digest == RLNC_PIN
