@@ -125,7 +125,7 @@ def run_trial(config: ExperimentConfig, trial_index: int):
     cyclic = None
     if config.rlnc_check:
         report = verify_achievability(
-            graph, config.rlnc_trials, stream.child("rlnc")
+            graph, config.rlnc_trials, stream.child("rlnc"), cuts=cuts
         )
         cyclic = report.cyclic_skipped
         rlnc_success = None if report.cyclic_skipped else report.success_fraction

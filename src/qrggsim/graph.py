@@ -178,16 +178,23 @@ def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
 
     Arcs are source->relay, both directions of each relay-relay edge (pairs
     i < j row-major, i->j first) and relay->terminal, in that order; the
-    residual partner of arc e is e ^ 1. Other terminals get no arcs. The
-    augmenting DFS is iterative and takes each node's arcs in index order,
-    so the flow found is a function of the graph alone. Stops early once
-    `limit` units flow.
+    residual partner of arc e is e ^ 1. Other terminals get no arcs.
 
-    Returns (flow, level, to, cap): level[v] >= 0 iff v is reachable from the
-    source in the final residual network; arc e runs to to[e] with residual
-    capacity cap[e].
+    Each phase does its O(E) work in numpy: a frontier BFS sets the levels,
+    and a backward sweep keeps only the level-graph arcs (residual, one
+    level up) into nodes from which the terminal is reachable. An iterative
+    augmenting DFS then walks the kept arcs, each node's in index order. The
+    arcs dropped are those on which a DFS over all arcs would meet only dead
+    ends, and dead ends change no capacity, so the flow found is the one
+    that DFS finds: a function of the graph alone. Stops once `limit` units
+    flow; the limit is at most min(deg s, deg t), which bounds the max flow.
+
+    Returns (flow, level, to, cap), the last three numpy arrays: level[v] >= 0
+    iff v is reachable from the source in the final residual network; arc e
+    runs to to[e] with residual capacity cap[e] (0 or 1).
     """
-    e = graph.edges
+    n = graph.n_nodes
+    e = graph.edges.astype(np.int32)
     i, j = e[:, 0], e[:, 1]
     src = j[i == 0]
     rr = e[(i > 0) & (j <= graph.n_relays)]
@@ -196,49 +203,75 @@ def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
     head = np.concatenate([src, rr[:, ::-1].ravel(), np.full_like(dst, terminal)])
     # Arc 2k is tail[k] -> head[k] with capacity 1; arc 2k + 1 is its partner.
     frm = np.stack([tail, head], 1).ravel()
-    # Node u's arcs, in index order, are adj[start[u]:start[u + 1]].
-    order = np.argsort(frm, kind="stable")
-    start = np.searchsorted(frm[order], np.arange(graph.n_nodes + 1)).tolist()
-    adj = order.tolist()
-    to = np.stack([head, tail], 1).ravel().tolist()
-    cap = [1, 0] * len(head)
-    limit = len(src) if limit is None else min(limit, len(src))
+    to = np.stack([head, tail], 1).ravel()
+    cap = np.tile(np.array([True, False]), len(head))
+    # The phases scan the arcs in CSR order: position p holds arc arc[p],
+    # which runs frm_p[p] -> to_p[p], and node u's arcs, in index order, are
+    # at positions start[u]:start[u + 1]. Keys of the smallest dtype that
+    # holds a node id let the stable sort run as a radix sort.
+    arc = np.argsort(frm.astype(np.min_scalar_type(n)), kind="stable")
+    frm_p, to_p = frm[arc], to[arc]
+    start = np.searchsorted(frm_p, np.arange(n + 1))
+    bound = min(len(src), len(dst))
+    limit = bound if limit is None else min(limit, bound)
 
     flow = 0
     while True:
-        level = [-1] * graph.n_nodes
+        # layers[d] holds the positions of the residual arcs out of the nodes
+        # at level d. While flow is still wanted, the BFS stops at the
+        # terminal's level; the levels it returns are complete.
+        level = np.full(n, -1, np.int32)
         level[0] = 0
-        queue = [0]
-        for u in queue:
-            for e in adj[start[u]:start[u + 1]]:
-                if cap[e] and level[to[e]] < 0:
-                    level[to[e]] = level[u] + 1
-                    queue.append(to[e])
+        frontier = np.zeros(1, np.intp)
+        layers = []
+        while frontier.size:
+            lo = start[frontier]
+            count = start[frontier + 1] - lo
+            pos = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+            pos = pos[cap[arc[pos]]]
+            layers.append(pos)
+            v = to_p[pos]
+            level[v[level[v] < 0]] = len(layers)
+            if level[terminal] == len(layers) and flow < limit:
+                break
+            frontier = np.flatnonzero(level == len(layers))
         if level[terminal] < 0 or flow >= limit:
             return flow, level, to, cap
-        it = start[:]  # current-arc pointer per node
-        path = []      # arcs from the source to u
+        # Backward sweep: reach[v] is v's level once v is known to reach the
+        # terminal, else -1.
+        reach = np.full(n, -1, np.int32)
+        reach[terminal] = level[terminal]
+        for d in range(len(layers) - 1, -1, -1):
+            layers[d] = layers[d][reach[to_p[layers[d]]] == d + 1]
+            reach[frm_p[layers[d]]] = d
+        keep = np.sort(np.concatenate(layers))
+        heads = to_p[keep].tolist()
+        tails = frm_p[keep].tolist()
+        # Node u's kept arcs are first[u]:first[u + 1]; it[u] is its current arc.
+        first = np.searchsorted(keep, start).tolist()
+        it = first[:]
+        path = []  # kept arcs from the source to u
+        used = []
         u = 0
         while flow < limit:
             if u == terminal:
-                for e in path:
-                    cap[e] -= 1
-                    cap[e ^ 1] += 1
+                for k in path:  # each arc is spent for the rest of the phase
+                    it[tails[k]] += 1
+                used += path
                 flow += 1
-                path.clear()
+                path = []
                 u = 0
-            elif it[u] == start[u + 1]:  # dead end: retreat one arc
+            elif it[u] == first[u + 1]:  # dead end: retreat one arc
                 if not path:
                     break
-                u = to[path.pop() ^ 1]
+                u = tails[path.pop()]
                 it[u] += 1
             else:
-                e = adj[it[u]]
-                if cap[e] and level[to[e]] == level[u] + 1:
-                    path.append(e)
-                    u = to[e]
-                else:
-                    it[u] += 1
+                path.append(it[u])
+                u = heads[it[u]]
+        spent = arc[keep[used]]
+        cap[spent] = False
+        cap[spent ^ 1] = True
 
 
 def min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:
@@ -246,7 +279,7 @@ def min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:
     source-side-minimal relay partition (residual reachability)."""
     _check_terminal(graph, terminal)
     value, level, _, _ = _max_flow(graph, terminal)
-    partition = tuple(r for r in graph.relay_ids if level[r] >= 0)
+    partition = tuple((np.flatnonzero(level[1:1 + graph.n_relays] >= 0) + 1).tolist())
     return CutResult(
         terminal=terminal, partition_vk=partition, k=len(partition), capacity=value
     )
@@ -259,7 +292,8 @@ def edge_disjoint_paths(
     _check_terminal(graph, terminal)
     flow, _, to, cap = _max_flow(graph, terminal, limit)
     # Forward arc e carries cap[e ^ 1] units; antiparallel relay flows cancel.
-    used = {(to[e + 1], to[e]) for e in range(0, len(cap), 2) if cap[e + 1]}
+    e = 2 * np.flatnonzero(cap[1::2])
+    used = set(zip(to[e + 1].tolist(), to[e].tolist()))
     out_flow: dict[int, list[int]] = {}
     for u, v in sorted(used):
         if (v, u) not in used:

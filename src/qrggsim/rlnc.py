@@ -177,16 +177,18 @@ def verify_achievability(
     trials: int,
     rng: RandomStream,
     field=GF256,
+    cuts=None,
 ) -> AchievabilityReport:
     """Random-coding check that the min-cut rate is decodable at every
-    terminal. h is fixed to the multicast capacity.
+    terminal. h is fixed to the multicast capacity: the least of `cuts`, the
+    per-terminal min cuts when the caller already has them, or else computed.
 
     Each terminal has exactly h in-arcs: build_coding_dag routes h
     edge-disjoint paths into it, and no other terminal's flow touches it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    h = multicast_capacity(graph)
+    h = multicast_capacity(graph) if cuts is None else min(cuts)
     if h == 0:
         return AchievabilityReport(
             h=0, trials=trials, success_fraction=1.0,

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qrggsim
 from qrggsim import (
     ConnectionModel,
     ExperimentConfig,
@@ -51,6 +55,25 @@ class TestRunTrial:
     def test_index_guard(self):
         with pytest.raises(ValueError):
             run_trial(small_config(), 25)
+
+    def test_trial_imports_neither_numpy_ma_nor_scipy(self):
+        # numpy.ma costs milliseconds and memory on first use (np.unique
+        # imports it), and scipy about 0.4 s and 30 MB: a trial, coding
+        # check included, must load neither. A fresh process sees what the
+        # trial itself imports.
+        code = (
+            "import sys\n"
+            "from qrggsim import ConnectionModel, ExperimentConfig, run_trial\n"
+            "model = ConnectionModel(r=0.1, r_prime=0.2, kernel='fixed', p=0.5)\n"
+            "config = ExperimentConfig(n_relays=60, n_terminals=2, model=model, trials=1,\n"
+            "                          master_seed=3, rlnc_check=True)\n"
+            "run_trial(config, 0)\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.split('.')[0] == 'scipy'))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qrggsim.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestRunExperiment:

@@ -10,6 +10,7 @@ from qrggsim import (
     build_connectivity_graph,
     butterfly_graph,
     from_edges,
+    min_cut,
     multicast_capacity,
     verify_achievability,
     xor_relay_demo,
@@ -125,6 +126,17 @@ class TestVerifyAchievability:
             assert report.h == h
             checked += 1
         assert checked > 5
+
+    def test_given_cuts_give_the_same_report(self):
+        # run_trial hands over the cuts it computed; h and every draw must be
+        # as if verify_achievability had computed them itself.
+        model = ConnectionModel(r=0.2, r_prime=0.4, kernel="fixed", p=0.5)
+        for seed in range(20):
+            g = build_connectivity_graph(12, 1 + seed % 3, model, RandomStream.from_seed(seed))
+            cuts = [min_cut(g, t).capacity for t in g.terminal_ids]
+            given = verify_achievability(g, 8, RandomStream.from_seed(seed), cuts=cuts)
+            assert given == verify_achievability(g, 8, RandomStream.from_seed(seed))
+            assert given.h == min(cuts)
 
     def test_binary_field_fails_visibly_more_often(self):
         g = butterfly_graph()
