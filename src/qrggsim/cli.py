@@ -29,7 +29,6 @@ from .graph import (
     build_connectivity_graph,
     load_graph,
     min_cut,
-    multicast_capacity,
     save_graph,
     write_json_atomic,
     write_text_atomic,
@@ -261,33 +260,20 @@ def _cmd_bounds(args) -> int:
 
 def _experiment_config(args) -> ExperimentConfig:
     if args.preset:
-        preset = PRESETS[args.preset]
-        n = args.n if args.n is not None else preset["n"]
-        terminals = args.terminals if args.terminals is not None else preset["terminals"]
-        r = args.r if args.r is not None else preset["r"]
-        r_prime = args.r_prime if args.r_prime is not None else preset["r_prime"]
-        if args.kernel == "fixed":
-            prob = args.p if args.p is not None else preset["p"]
-            kernel = KERNEL_FIXED
-        else:
-            if args.p_connection is None:
-                raise CliError("--p-connection is required with --kernel linear-decay")
-            prob, kernel = args.p_connection, KERNEL_LINEAR_DECAY
-        model = ConnectionModel(r=r, r_prime=r_prime, kernel=kernel, p=prob)
-    else:
-        if args.n is None:
-            raise CliError("provide --preset or --n with model flags")
-        n = args.n
-        terminals = args.terminals if args.terminals is not None else 1
-        model = _resolve_model(args)
+        for key, value in PRESETS[args.preset].items():
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+    if args.n is None:
+        raise CliError("provide --preset or --n with model flags")
+    model = _resolve_model(args)
     seed = _resolve_seed(args)
     epsilons = ()
     if args.audit:
         epsilons = tuple(_parse_float_list(args.audit, "audit epsilon"))
     try:
         return ExperimentConfig(
-            n_relays=n,
-            n_terminals=terminals,
+            n_relays=args.n,
+            n_terminals=1 if args.terminals is None else args.terminals,
             model=model,
             trials=args.trials,
             master_seed=seed,

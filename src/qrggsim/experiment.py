@@ -57,20 +57,6 @@ class ExperimentConfig:
             "rlnc_trials": self.rlnc_trials,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentConfig":
-        return cls(
-            n_relays=obj["n_relays"],
-            n_terminals=obj["n_terminals"],
-            model=ConnectionModel.from_json(obj["model"]),
-            trials=obj["trials"],
-            master_seed=obj["master_seed"],
-            histogram_bins=obj.get("histogram_bins"),
-            audit_epsilons=tuple(obj.get("audit_epsilons", ())),
-            rlnc_check=obj.get("rlnc_check", False),
-            rlnc_trials=obj.get("rlnc_trials", 8),
-        )
-
 
 @dataclass(frozen=True)
 class ExperimentResult:

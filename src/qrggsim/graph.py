@@ -94,7 +94,11 @@ def from_edges(
     if e.size == 0:
         e = np.empty((0, 2), dtype=np.int64)
     elif e.ndim == 2:  # any other shape is left for the constructor to reject
-        e = np.unique(np.sort(e, axis=1), axis=0)
+        # Sorted rows minus repeats, as np.unique(axis=0) gives without
+        # importing numpy.ma.
+        e = np.sort(e, axis=1)
+        e = e[np.lexsort(e.T[::-1])]
+        e = e[np.r_[True, np.any(e[1:] != e[:-1], axis=1)]]
     pos = None if positions is None else np.asarray(positions, dtype=float)
     return ConnectivityGraph(n_relays, n_terminals, e, pos, model, seed)
 

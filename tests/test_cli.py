@@ -206,6 +206,17 @@ class TestExperiment:
         )
         assert code == 1
 
+    def test_preset_with_linear_decay_kernel(self, capsys):
+        flags = ["experiment", "--preset", "fig3", "--kernel", "linear-decay",
+                 "--n", "20", "--trials", "1", "--seed", "1"]
+        code, out, err = run_cli(capsys, *flags)
+        assert (code, out) == (1, "")
+        assert "error: --p-connection is required with --kernel linear-decay" in err
+        code, out, _ = run_cli(capsys, *flags, "--p-connection", "0.9")
+        assert code == 0
+        model = json.loads(out)["provenance"]["config"]["model"]
+        assert model == {"r": 0.1, "r_prime": 0.2, "kernel": "linear_decay", "p": 0.9}
+
 
 class TestSweep:
     def test_csv_to_stdout(self, capsys):

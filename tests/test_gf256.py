@@ -1,16 +1,12 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qrggsim.gf256 import (
     EXP,
     GF2,
+    GF256,
     LOG,
     REDUCTION_POLY,
-    gf_add,
-    gf_div,
-    gf_inv,
-    gf_mul,
     matrix_rank,
     solve_linear_system,
 )
@@ -18,7 +14,7 @@ from qrggsim.gf256 import (
 
 def gf_mul_reference(a: int, b: int) -> int:
     """Bitwise carry-less multiply with modular reduction; independent of the
-    log/antilog tables."""
+    log/antilog tables and of the product table."""
     result = 0
     while b:
         if b & 1:
@@ -33,33 +29,36 @@ def gf_mul_reference(a: int, b: int) -> int:
 class TestFieldArithmetic:
     def test_multiplicative_identity(self):
         for x in range(256):
-            assert gf_mul(x, 1) == x
+            assert GF256.mul[x][1] == x
 
     def test_known_inverse_pair(self):
-        assert gf_mul(0x53, 0xCA) == 0x01
-        assert gf_inv(0x53) == 0xCA
+        assert GF256.mul[0x53][0xCA] == 0x01
+        assert GF256.inv[0x53] == 0xCA
 
     def test_table_mul_matches_bitwise_reference_exhaustively(self):
-        for a in range(0, 256, 7):
+        assert len(GF256.mul) == 256 and {len(row) for row in GF256.mul} == {256}
+        for a in range(256):
             for b in range(256):
-                assert gf_mul(a, b) == gf_mul_reference(a, b)
+                assert GF256.mul[a][b] == gf_mul_reference(a, b)
 
     @given(
         a=st.integers(0, 255), b=st.integers(0, 255), c=st.integers(0, 255)
     )
     def test_distributes_over_xor(self, a, b, c):
-        assert gf_mul(a, gf_add(b, c)) == gf_add(gf_mul(a, b), gf_mul(a, c))
+        mul = GF256.mul
+        assert mul[a][b ^ c] == mul[a][b] ^ mul[a][c]
 
     def test_every_nonzero_element_has_inverse(self):
-        for x in range(1, 256):
-            assert gf_mul(x, gf_inv(x)) == 1
+        for field in (GF256, GF2):
+            for x in range(1, field.order):
+                assert field.mul[x][field.inv[x]] == 1
 
-    def test_div(self):
-        assert gf_div(gf_mul(0x37, 0x8E), 0x8E) == 0x37
-        with pytest.raises(ZeroDivisionError):
-            gf_div(5, 0)
-        with pytest.raises(ZeroDivisionError):
-            gf_inv(0)
+    def test_binary_field_multiplies_as_and(self):
+        assert isinstance(GF2, type(GF256))
+        assert GF2.order == len(GF2.mul) == 2 and {len(row) for row in GF2.mul} == {2}
+        for a in range(2):
+            for b in range(2):
+                assert GF2.mul[a][b] == a & b
 
     def test_log_exp_tables_cover_all_nonzero_elements(self):
         assert sorted(EXP[:255]) == list(range(1, 256))
@@ -74,7 +73,7 @@ class TestLinearAlgebra:
     def test_dependent_rows(self):
         rows = [[1, 2, 3], [2, 4, 6], [0, 0, 5]]
         # second row = 2 * first in the 256-element field
-        rows[1] = [gf_mul(2, x) for x in rows[0]]
+        rows[1] = [gf_mul_reference(2, x) for x in rows[0]]
         assert matrix_rank(rows) == 2
 
     def test_solve_round_trip(self):
@@ -84,7 +83,7 @@ class TestLinearAlgebra:
         for row in matrix:
             acc = 0
             for c, v in zip(row, x):
-                acc = gf_add(acc, gf_mul(c, v))
+                acc ^= gf_mul_reference(c, v)
             rhs.append(acc)
         assert solve_linear_system(matrix, rhs) == x
 
