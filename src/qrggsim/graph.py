@@ -11,6 +11,7 @@ flow).
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -21,6 +22,8 @@ from .model import ConnectionModel, kernel_probability, sample_points
 from .rng import RandomStream
 
 BRUTE_FORCE_MAX_RELAYS = 20
+# Nodes the near-pair search handles per numpy pass; bounds its temporaries.
+NEAR_PAIR_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,9 @@ def build_connectivity_graph(
     Geometry and edge randomness come from separate child streams. Edge pairs
     are processed in canonical (i < j) order; role-forbidden pairs are skipped
     outright and deterministic pairs (probability 0 or 1) consume no draw, so
-    stream positions are stable across parameter changes.
+    stream positions are stable across parameter changes. Pairs beyond r'
+    have probability 0, so only the pairs within r' are listed at all: the
+    build costs O(N + pairs within r'), not O(N^2).
     """
     if n_relays < 1 or n_terminals < 1:
         raise ValueError("need at least one relay and one terminal")
@@ -122,7 +127,7 @@ def build_connectivity_graph(
     positions = sample_points(n_total, rng.child("positions"))
     edge_rng = rng.child("edges")
 
-    iu, ju = np.triu_indices(n_total, k=1)
+    iu, ju = _near_pairs(positions, model.r_prime)
     # Drop source-terminal and terminal-terminal pairs from the enumeration.
     first_t = 1 + n_relays
     is_term_i = iu >= first_t
@@ -140,11 +145,54 @@ def build_connectivity_graph(
     draws = edge_rng.random(int(stochastic.sum()))
     accept[stochastic] = draws < probs[stochastic]
 
-    # triu_indices is row-major, so the accepted pairs are already sorted.
+    # _near_pairs is row-major, so the accepted pairs are already sorted.
     edges = np.stack([iu[accept], ju[accept]], 1)
     return ConnectivityGraph(
         n_relays, n_terminals, edges, positions, model, int(rng.master_seed)
     )
+
+
+def _near_pairs(positions: np.ndarray, radius: float):
+    """All pairs (i < j) at np.hypot distance <= radius, as arrays (iu, ju)
+    in row-major order.
+
+    A fixed-radius near-neighbour search over a grid of square cells
+    (Bentley, Stanat & Williams, 1977). The cells have side > radius / 2,
+    with a margin so that rounding in x * m cannot put a pair at distance
+    radius more than 2 cells apart on an axis. The grid has at most about
+    N cells, which keeps radius 0 and tiny radii O(N).
+    """
+    n = len(positions)
+    m = max(1, min(math.isqrt(n), int(2 / max(radius * (1 + 1e-9), 1 / n))))
+    cell_xy = np.minimum((positions * m).astype(np.intp), m - 1)
+    order = np.argsort(cell_xy[:, 0] * m + cell_xy[:, 1], kind="stable")
+    cx, cy = cell_xy[order].T
+    x, y = positions[order].T.copy()
+    # Sorted position p holds node order[p]; cell c is positions
+    # start[c]:start[c + 1], so cells (cx, cy - 2) to (cx, cy + 2) are one slice.
+    start = np.searchsorted(cx * m + cy, np.arange(m * m + 1))
+    # Each near pair is met once: from the smaller position when both nodes
+    # share a column of cells, else from the node in the left column.
+    offsets = np.arange(3)
+    keys = []
+    for lo in range(0, n, NEAR_PAIR_BLOCK):
+        p = np.arange(lo, min(lo + NEAR_PAIR_BLOCK, n))
+        col = cx[p, None] + offsets
+        base = np.minimum(col, m - 1) * m
+        first = start[base + np.maximum(cy[p, None] - 2, 0)]
+        first[:, 0] = p + 1
+        count = start[base + np.minimum(cy[p, None] + 2, m - 1) + 1] - first
+        count[col >= m] = 0
+        count, first = count.ravel(), first.ravel()
+        total = np.cumsum(count)
+        a = p.repeat(len(offsets)).repeat(count)
+        b = np.repeat(first - total + count, count) + np.arange(total[-1])
+        # hypot is even in each argument: these are the bits the build's
+        # distance for (i, j) has.
+        near = np.hypot(x[a] - x[b], y[a] - y[b]) <= radius
+        a, b = order[a[near]], order[b[near]]
+        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+    return np.divmod(np.sort(np.concatenate(keys)), n)
 
 
 @dataclass(frozen=True)

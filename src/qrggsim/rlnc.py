@@ -16,6 +16,8 @@ import heapq
 from dataclasses import asdict, dataclass
 from graphlib import CycleError, TopologicalSorter
 
+import numpy as np
+
 from .bounds import _sig6
 # matrix_rank is unused here but stays bound: the benchmark's tracer wraps it by name.
 from .gf256 import GF256, matrix_rank, solve_linear_system  # noqa: F401
@@ -116,19 +118,6 @@ class AchievabilityReport:
         return {**asdict(self), "success_fraction": _sig6(self.success_fraction)}
 
 
-def _draw_coefficients(n_in: int, n_out: int, rng: RandomStream, field):
-    """Local mixing coefficients for one node: n_out vectors of length n_in.
-
-    Single-in-arc nodes draw nonzero scalars so a lone zero never causes a
-    spurious rank drop; multi-in-arc nodes draw uniformly over the field.
-    """
-    if n_in == 1:
-        vals = rng.integers(1, field.order, size=n_out)
-        return [[int(v)] for v in vals]
-    vals = rng.integers(0, field.order, size=(n_out, n_in))
-    return [[int(x) for x in row] for row in vals]
-
-
 def _combine(coeffs, vectors, width: int, field) -> list[int]:
     """sum_k coeffs[k] * vectors[k] over the field, skipping zero terms."""
     acc = [0] * width
@@ -139,22 +128,41 @@ def _combine(coeffs, vectors, width: int, field) -> list[int]:
     return acc
 
 
-def _propagate(dag: CodingDag, source: int, rng: RandomStream, field):
-    """Assign random local coefficients in topological order and return the
-    per-arc global coding vectors (length h each)."""
+def _coding_plan(dag: CodingDag, source: int):
+    """The coding nodes in topological order, each as (in-arcs, out-arcs),
+    the source's in-arcs None; and the lower bounds of their coefficient
+    draws, one per coefficient, as one array in that order.
+
+    Node u mixes its n_in in-vectors into each out-arc with n_in local
+    coefficients (the source mixes the h unit vectors). Single-in-arc nodes
+    draw nonzero scalars so a lone zero never causes a spurious rank drop;
+    multi-in-arc nodes draw uniformly over the field.
+    """
+    plan, lows = [], []
+    for node in dag.topo_order:
+        out = dag.out_arcs.get(node)
+        if out:
+            ins = None if node == source else dag.in_arcs[node]
+            n_in = dag.rate if ins is None else len(ins)
+            plan.append((ins, out))
+            lows += [int(n_in == 1)] * (n_in * len(out))
+    return plan, np.array(lows)
+
+
+def _propagate(dag: CodingDag, plan, coeffs, field):
+    """Global coding vectors (length h each) per arc, from the local
+    coefficients `coeffs` laid out as _coding_plan orders them."""
     h = dag.rate
     globals_ = [None] * len(dag.arcs)
-    for node in dag.topo_order:
-        out = dag.out_arcs.get(node, [])
-        if not out:
-            continue
-        if node == source:
+    k = 0
+    for ins, out in plan:
+        if ins is None:
             in_vectors = [[1 if i == j else 0 for j in range(h)] for i in range(h)]
         else:
-            in_vectors = [globals_[e] for e in dag.in_arcs[node]]
-        coeffs = _draw_coefficients(len(in_vectors), len(out), rng, field)
-        for arc_id, cvec in zip(out, coeffs):
-            globals_[arc_id] = _combine(cvec, in_vectors, h, field)
+            in_vectors = [globals_[e] for e in ins]
+        for arc_id in out:
+            globals_[arc_id] = _combine(coeffs[k:k + len(in_vectors)], in_vectors, h, field)
+            k += len(in_vectors)
     return globals_
 
 
@@ -194,10 +202,14 @@ def verify_achievability(
             h=h, trials=trials, success_fraction=0.0,
             cyclic_skipped=True, field_poly=field.poly,
         )
+    plan, lows = _coding_plan(dag, graph.source)
     successes = 0
     for i in range(trials):
         stream = rng.child("rlnc-trial", i)
-        globals_ = _propagate(dag, graph.source, stream, field)
+        # One draw for all of a trial's coefficients, as node-by-node draws
+        # of the same bounds would give them.
+        coeffs = stream.integers(lows, field.order).tolist()
+        globals_ = _propagate(dag, plan, coeffs, field)
         msg = [int(x) for x in stream.integers(0, field.order, size=h)]
         successes += all(
             _decode_ok([globals_[e] for e in dag.in_arcs[t]], msg, field)

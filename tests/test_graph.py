@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from qrggsim import (
     save_graph,
     wheatstone_graph,
 )
-from qrggsim.graph import _max_flow
+from qrggsim import graph as graph_module
+from qrggsim.graph import _max_flow, _near_pairs
+from qrggsim.model import kernel_probability
 
 FIG3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
 FLOW_PIN = "8d16df39d7082cd8b5782647f5ce4251a1a6ff6f2fd444cd36f8db8ff4e2915e"
@@ -76,6 +80,111 @@ class TestBuild:
     def test_needs_relay_and_terminal(self):
         with pytest.raises(ValueError):
             build_connectivity_graph(0, 1, FIG3, RandomStream.from_seed(0))
+
+
+def _all_pairs_within(positions, radius):
+    """Reference for the near-pair search: every pair (i < j) in row-major
+    order, kept iff its np.hypot distance is at most radius."""
+    iu, ju = np.triu_indices(len(positions), k=1)
+    d = np.hypot(*(positions[iu] - positions[ju]).T)
+    return iu[d <= radius], ju[d <= radius]
+
+
+def _reference_build(g, model, seed):
+    """The all-pairs build: each role-allowed pair in row-major order, with
+    one draw of the edge stream per pair of probability strictly in (0, 1)."""
+    iu, ju = np.triu_indices(g.n_nodes, k=1)
+    first_t = 1 + g.n_relays
+    allowed = (ju < first_t) | ((iu > 0) & (iu < first_t))
+    iu, ju = iu[allowed], ju[allowed]
+    probs = kernel_probability(np.hypot(*(g.positions[iu] - g.positions[ju]).T), model)
+    accept = probs >= 1.0
+    stochastic = (probs > 0.0) & (probs < 1.0)
+    draws = RandomStream.from_seed(seed).child("edges").random(int(stochastic.sum()))
+    accept[stochastic] = draws < probs[stochastic]
+    return np.stack([iu[accept], ju[accept]], 1)
+
+
+# 49 points on the lines of a 7 x 7 grid of cells, which is the grid that
+# r' = 0.25 gets (side 1/7 > r' / 2), and pairs at distance exactly 0.25 that
+# lie 2 cells apart: across x, across y, and diagonally from the corner.
+LATTICE = [(k / 7, l / 7) for k in range(7) for l in range(7)]
+AT_RADIUS = [(0.125, 0.5), (0.375, 0.5), (0.5, 0.125), (0.5, 0.375), (0.0, 0.0), (0.15, 0.2)]
+
+
+class TestNearPairs:
+    @pytest.mark.parametrize("radius, extra, some_pairs", [
+        (0.25, [], {(49, 50), (51, 52), (53, 54), (0, 54)}),  # the pairs at 0.25
+        (1 / 7, [], set()),
+        (1.0, [(0.6, 0.8)], {(0, 55)}),  # r' = 1 is one cell; the pair is at 1.0
+        # The x difference rounds to 0.5 though the exact one is larger: in
+        # cells of side exactly r' / 2 these two would lie 3 cells apart.
+        (0.5, [(0.25 - 2**-55, 0.5), (0.75, 0.5)], {(55, 56)}),
+        # Only coincident points pair; (0, 0) is point 0 and point 53.
+        (0.0, [(0.3, 0.3), (0.3, 0.3)], {(0, 53), (55, 56)}),
+        (1e-9, [(0.5, 0.5), (0.5 + 2**-31, 0.5), (0.7, 0.7), (0.7, 0.7)],
+         {(0, 53), (55, 56), (57, 58)}),
+    ])
+    def test_hand_placed_points_match_all_pairs(self, radius, extra, some_pairs):
+        positions = np.array(LATTICE + AT_RADIUS + extra)
+        iu, ju = _near_pairs(positions, radius)
+        ref_i, ref_j = _all_pairs_within(positions, radius)
+        np.testing.assert_array_equal(iu, ref_i)
+        np.testing.assert_array_equal(ju, ref_j)
+        assert some_pairs <= set(zip(iu.tolist(), ju.tolist()))
+
+    def test_tiny_radius_keeps_the_grid_small(self):
+        # 2 / r' would be 2e9 cells a side; the grid keeps about N cells.
+        positions = RandomStream.from_seed(4).random((1000, 2))
+        positions[1] = positions[0]
+        tracemalloc.start()
+        try:
+            iu, ju = _near_pairs(positions, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(zip(iu.tolist(), ju.tolist())) == [(0, 1)]
+        assert peak < 2e6
+
+    @pytest.mark.parametrize("n, kernel, n_terminals, radii", [
+        *itertools.product((30, 200), ("fixed", "linear_decay"), (1, 3),
+                           [[(0.1, 0.2), (0.05, 0.3), (0.3, 1.0), (0.2, 0.2), (0.0, 0.0)]]),
+        *itertools.product((2000,), ("fixed", "linear_decay"), (1, 3), [[(0.1, 0.2)]]),
+    ])
+    def test_seeded_builds_match_all_pairs_build(self, n, kernel, n_terminals, radii):
+        for seed, (r, r_prime) in enumerate(radii):
+            # r == r' is allowed with the fixed kernel only.
+            model = ConnectionModel(r, r_prime, "fixed" if r == r_prime else kernel, 0.5)
+            g = build_connectivity_graph(n, n_terminals, model, RandomStream.from_seed(seed))
+            np.testing.assert_array_equal(g.edges, _reference_build(g, model, seed))
+
+    def test_kernel_sees_only_pairs_within_r_prime(self, monkeypatch):
+        # A fallback to all pairs would give the same graph, so this counts
+        # the distances the kernel receives.
+        seen = []
+
+        def counting_kernel(d, model):
+            seen.append(len(d))
+            return kernel_probability(d, model)
+
+        monkeypatch.setattr(graph_module, "kernel_probability", counting_kernel)
+        g = build_connectivity_graph(2000, 1, FIG3, RandomStream.from_seed(8))
+        iu, ju = _all_pairs_within(g.positions, FIG3.r_prime)
+        first_t = 1 + g.n_relays
+        allowed = np.count_nonzero((ju < first_t) | ((iu > 0) & (iu < first_t)))
+        assert seen == [allowed]
+        assert 150_000 < allowed < 300_000  # of 2,003,001 pairs
+
+    def test_large_build_memory_is_bounded(self):
+        # All pairs at n = 5000 would take about 550 MB; the edge array
+        # itself is about 13 MB.
+        tracemalloc.start()
+        try:
+            build_connectivity_graph(5000, 1, FIG3, RandomStream.from_seed(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestCutCapacity:
