@@ -36,15 +36,18 @@ _build_tables()
 class Field:
     """A field of characteristic 2 given by its multiplication table.
 
-    `mul[a][b]` is a * b, one bytes row per element; `inv[a]` is the inverse
-    of a nonzero a (inv[0] is 0 and never read). Addition is XOR.
+    `mul[a, b]` is a * b, one `(order, order)` uint8 array, so a product of
+    whole arrays is one gather `mul[x, y]`; `inv[a]` is the inverse of a
+    nonzero a (inv[0] is 0 and never read). Addition is XOR. Both tables are
+    read-only: every caller in the process shares them.
     """
 
     def __init__(self, order: int, poly: str, table):
         self.order = order
         self.poly = poly
-        self.mul = tuple(bytes(row) for row in table)
-        self.inv = bytes(row.index(1) if a else 0 for a, row in enumerate(self.mul))
+        self.mul = np.asarray(table, dtype=np.uint8)
+        self.inv = (self.mul == 1).argmax(axis=1).astype(np.uint8)
+        self.mul.flags.writeable = self.inv.flags.writeable = False
 
 
 def _gf256_table() -> np.ndarray:
@@ -62,37 +65,46 @@ GF256 = Field(256, "0x11B", _gf256_table())
 GF2 = Field(2, "0x3", [[0, 0], [0, 1]])
 
 
-def _row_reduce(rows: list[list[int]], ncols: int, field: Field) -> int:
-    """Gauss-Jordan elimination in place over the first ncols columns
-    (row operations span whole rows); returns the rank."""
-    rank = 0
+def _row_reduce(a: np.ndarray, ncols: int, field: Field) -> np.ndarray:
+    """Gauss-Jordan elimination in place on a stack of matrices, a uint8
+    array of shape (B, rows, cols), over the first ncols columns (row
+    operations span whole rows). Each matrix keeps its own rank and pivot
+    row; returns the B ranks."""
+    stack, nrows = a.shape[:2]
+    rank = np.zeros(stack, dtype=np.intp)
+    row_ids = np.arange(nrows)
     for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
+        # Pivot: the first row at or below the matrix's rank with a nonzero
+        # entry in this column; a full-rank matrix has no row left.
+        nonzero = (a[:, :, col] != 0) & (row_ids >= rank[:, None])
+        active = np.flatnonzero(nonzero.any(axis=1))
+        if not active.size:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        m = field.mul[field.inv[rows[rank][col]]]
-        rows[rank] = top = [m[x] for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                m = field.mul[rows[i][col]]
-                rows[i] = [x ^ m[y] for x, y in zip(rows[i], top)]
-        rank += 1
-        if rank == len(rows):
-            break
+        pivot, dest = nonzero[active].argmax(axis=1), rank[active]
+        top = a[active, pivot]
+        a[active, pivot] = a[active, dest]
+        top = field.mul[field.inv[top[:, col]][:, None], top]
+        a[active, dest] = top
+        factor = a[active, :, col]
+        factor[np.arange(active.size), dest] = 0
+        a[active] ^= field.mul[factor[:, :, None], top[:, None, :]]
+        rank[active] += 1
     return rank
 
 
 def matrix_rank(rows: list[list[int]], field: Field = GF256) -> int:
     """Rank via exact Gaussian elimination over the field."""
-    m = [list(r) for r in rows]
-    return _row_reduce(m, len(m[0]), field) if m else 0
+    if not len(rows):
+        return 0
+    a = np.array([rows], dtype=np.uint8)
+    return int(_row_reduce(a, a.shape[2], field)[0])
 
 
 def solve_linear_system(matrix: list[list[int]], rhs: list[int], field: Field = GF256):
     """Solve a square full-rank system M x = y; returns None if singular."""
     n = len(matrix)
-    aug = [list(row) + [y] for row, y in zip(matrix, rhs)]
-    if _row_reduce(aug, n, field) < n:
+    aug = np.array([[list(row) + [y] for row, y in zip(matrix, rhs)]], dtype=np.uint8)
+    aug = aug.reshape(1, n, n + 1)
+    if _row_reduce(aug, n, field)[0] < n:
         return None
-    return [row[n] for row in aug]
+    return aug[0, :, n].tolist()

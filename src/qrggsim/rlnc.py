@@ -19,10 +19,15 @@ from graphlib import CycleError, TopologicalSorter
 import numpy as np
 
 from .bounds import _sig6
-# matrix_rank is unused here but stays bound: the benchmark's tracer wraps it by name.
-from .gf256 import GF256, matrix_rank, solve_linear_system  # noqa: F401
+# matrix_rank and solve_linear_system are unused here but stay bound: the
+# benchmark's tracer wraps them by name.
+from .gf256 import GF256, _row_reduce, matrix_rank, solve_linear_system  # noqa: F401
 from .graph import ConnectivityGraph, edge_disjoint_paths, multicast_capacity
 from .rng import RandomStream
+
+# Coding trials run together as one numpy pass per block of this many, which
+# bounds the memory of a check of any length.
+CODING_BLOCK = 64
 
 
 def xor_relay_demo(b1: int, b2: int) -> tuple[int, int]:
@@ -118,20 +123,11 @@ class AchievabilityReport:
         return {**asdict(self), "success_fraction": _sig6(self.success_fraction)}
 
 
-def _combine(coeffs, vectors, width: int, field) -> list[int]:
-    """sum_k coeffs[k] * vectors[k] over the field, skipping zero terms."""
-    acc = [0] * width
-    for c, g in zip(coeffs, vectors):
-        if c:
-            m = field.mul[c]
-            acc = [a ^ m[x] for a, x in zip(acc, g)]
-    return acc
-
-
 def _coding_plan(dag: CodingDag, source: int):
-    """The coding nodes in topological order, each as (in-arcs, out-arcs),
-    the source's in-arcs None; and the lower bounds of their coefficient
-    draws, one per coefficient, as one array in that order.
+    """The coding nodes in topological order, each as (in-arcs, out-arcs,
+    the slice of its coefficients), the source's in-arcs None; and the lower
+    bounds of their coefficient draws, one per coefficient, as one array in
+    that order.
 
     Node u mixes its n_in in-vectors into each out-arc with n_in local
     coefficients (the source mixes the h unit vectors). Single-in-arc nodes
@@ -144,34 +140,40 @@ def _coding_plan(dag: CodingDag, source: int):
         if out:
             ins = None if node == source else dag.in_arcs[node]
             n_in = dag.rate if ins is None else len(ins)
-            plan.append((ins, out))
+            plan.append((ins, out, slice(len(lows), len(lows) + n_in * len(out))))
             lows += [int(n_in == 1)] * (n_in * len(out))
     return plan, np.array(lows)
 
 
-def _propagate(dag: CodingDag, plan, coeffs, field):
-    """Global coding vectors (length h each) per arc, from the local
-    coefficients `coeffs` laid out as _coding_plan orders them."""
-    h = dag.rate
-    globals_ = [None] * len(dag.arcs)
-    k = 0
-    for ins, out in plan:
+def _global_vectors(dag: CodingDag, plan, coeffs: np.ndarray, field) -> np.ndarray:
+    """Global coding vectors of a block of coding trials, a (T, arcs, h)
+    uint8 array, from their local coefficients `coeffs`, a (T, len(lows))
+    array laid out as _coding_plan orders them."""
+    vectors = np.empty((len(coeffs), len(dag.arcs), dag.rate), dtype=np.uint8)
+    for ins, out, cols in plan:
+        c = coeffs[:, cols].reshape(len(coeffs), len(out), -1)
         if ins is None:
-            in_vectors = [[1 if i == j else 0 for j in range(h)] for i in range(h)]
+            # The source mixes the unit vectors: its coefficients are the vectors.
+            vectors[:, out] = c
         else:
-            in_vectors = [globals_[e] for e in ins]
-        for arc_id in out:
-            globals_[arc_id] = _combine(coeffs[k:k + len(in_vectors)], in_vectors, h, field)
-            k += len(in_vectors)
-    return globals_
+            products = field.mul[c[..., None], vectors[:, ins][:, None]]
+            vectors[:, out] = np.bitwise_xor.reduce(products, axis=2)
+    return vectors
 
 
-def _decode_ok(matrix, msg, field) -> bool:
-    """End-to-end identity: encode h source symbols through the global
-    vectors, solve the terminal system, compare with the originals.
-    A singular matrix solves to None and so fails."""
-    received = _combine(msg, list(zip(*matrix)), len(matrix), field)
-    return solve_linear_system(matrix, received, field) == list(msg)
+def _count_decoded(vectors: np.ndarray, msgs: np.ndarray, in_arcs: np.ndarray, field) -> int:
+    """How many coding trials of a block every terminal decodes: the
+    end-to-end identity of encoding each trial's h source symbols through the
+    global vectors, solving each terminal's system and comparing with the
+    originals. A singular system fails. `in_arcs` is (terminals, h)."""
+    trials, h = msgs.shape
+    matrices = vectors[:, in_arcs]
+    received = np.bitwise_xor.reduce(field.mul[matrices, msgs[:, None, None, :]], axis=3)
+    systems = np.concatenate([matrices, received[..., None]], axis=3).reshape(-1, h, h + 1)
+    ranks = _row_reduce(systems, h, field).reshape(trials, -1)
+    solved = systems[:, :, h].reshape(trials, -1, h)
+    ok = (ranks == h) & (solved == msgs[:, None, :]).all(axis=2)
+    return int(ok.all(axis=1).sum())
 
 
 def verify_achievability(
@@ -203,18 +205,20 @@ def verify_achievability(
             cyclic_skipped=True, field_poly=field.poly,
         )
     plan, lows = _coding_plan(dag, graph.source)
+    in_arcs = np.array([dag.in_arcs[t] for t in graph.terminal_ids])
     successes = 0
-    for i in range(trials):
-        stream = rng.child("rlnc-trial", i)
-        # One draw for all of a trial's coefficients, as node-by-node draws
-        # of the same bounds would give them.
-        coeffs = stream.integers(lows, field.order).tolist()
-        globals_ = _propagate(dag, plan, coeffs, field)
-        msg = [int(x) for x in stream.integers(0, field.order, size=h)]
-        successes += all(
-            _decode_ok([globals_[e] for e in dag.in_arcs[t]], msg, field)
-            for t in graph.terminal_ids
-        )
+    for first in range(0, trials, CODING_BLOCK):
+        block = range(first, min(first + CODING_BLOCK, trials))
+        coeffs = np.empty((len(block), len(lows)), dtype=np.uint8)
+        msgs = np.empty((len(block), h), dtype=np.uint8)
+        for row, i in enumerate(block):
+            stream = rng.child("rlnc-trial", i)
+            # One draw for all of a trial's coefficients, as node-by-node
+            # draws of the same bounds would give them.
+            coeffs[row] = stream.integers(lows, field.order)
+            msgs[row] = stream.integers(0, field.order, size=h)
+        vectors = _global_vectors(dag, plan, coeffs, field)
+        successes += _count_decoded(vectors, msgs, in_arcs, field)
     return AchievabilityReport(
         h=h, trials=trials, success_fraction=successes / trials,
         cyclic_skipped=False, field_poly=field.poly,

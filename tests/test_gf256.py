@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,6 +10,7 @@ from qrggsim.gf256 import (
     GF256,
     LOG,
     REDUCTION_POLY,
+    _row_reduce,
     matrix_rank,
     solve_linear_system,
 )
@@ -93,3 +97,85 @@ class TestLinearAlgebra:
     def test_gf2_rank(self):
         assert matrix_rank([[1, 0], [1, 1]], field=GF2) == 2
         assert matrix_rank([[1, 1], [1, 1]], field=GF2) == 1
+
+
+def xor_basis_rank(rows) -> int:
+    """Rank over GF(2) with each row as a Python int bitmask: reduce each row
+    by a basis with distinct leading bits, kept in decreasing order."""
+    basis = []
+    for row in rows:
+        x = sum(bit << k for k, bit in enumerate(row))
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis.append(x)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def known_rank_matrix(rnd, nrows: int, ncols: int, rank: int):
+    """A GF(256) matrix of the given rank, built with the bitwise multiply:
+    `rank` echelon rows with nonzero pivots and the rest zero, then mixed by
+    row scalings, additions of multiples and swaps, which keep the rank."""
+    m = [[0] * ncols for _ in range(nrows)]
+    for r, c in enumerate(sorted(rnd.sample(range(ncols), rank))):
+        m[r][c] = rnd.randrange(1, 256)
+        m[r][c + 1:] = [rnd.randrange(256) for _ in range(ncols - c - 1)]
+    for _ in range(3 * nrows):
+        i, j = rnd.randrange(nrows), rnd.randrange(nrows)
+        if i == j:
+            c = rnd.randrange(1, 256)
+            m[i] = [gf_mul_reference(c, x) for x in m[i]]
+        else:
+            c = rnd.randrange(256)
+            m[i] = [x ^ gf_mul_reference(c, y) for x, y in zip(m[i], m[j])]
+            m[i], m[j] = m[j], m[i]
+    return m
+
+
+class TestStackedRowReduce:
+    SHAPES = [(1, 1), (1, 4), (4, 1), (3, 3), (4, 2), (2, 5), (6, 6)]
+
+    def test_gf256_ranks_match_the_construction(self):
+        rnd = random.Random(11)
+        for nrows, ncols in self.SHAPES:
+            full = min(nrows, ncols)
+            ranks = [0, full] + [rnd.randint(0, full) for _ in range(40)]
+            mats = [known_rank_matrix(rnd, nrows, ncols, r) for r in ranks]
+            assert not any(map(any, mats[0]))
+            stack = np.array(mats, dtype=np.uint8)
+            assert _row_reduce(stack, ncols, GF256).tolist() == ranks
+            assert [matrix_rank(m) for m in mats] == ranks
+
+    def test_gf2_ranks_match_an_xor_basis(self):
+        rnd = random.Random(12)
+        for nrows, ncols in self.SHAPES:
+            mats = [[[0] * ncols for _ in range(nrows)]]
+            mats += [[[rnd.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
+                     for _ in range(60)]
+            expected = [xor_basis_rank(m) for m in mats]
+            assert {0, min(nrows, ncols)} <= set(expected)
+            stack = np.array(mats, dtype=np.uint8)
+            assert _row_reduce(stack, ncols, GF2).tolist() == expected
+            assert [matrix_rank(m, field=GF2) for m in mats] == expected
+
+    def test_gf256_solutions_satisfy_the_system(self):
+        rnd = random.Random(13)
+        for n in (1, 2, 3, 5, 8):
+            ranks = [n] * 30 + [rnd.randint(0, n - 1) for _ in range(10)]
+            mats = [known_rank_matrix(rnd, n, n, r) for r in ranks]
+            rhs = [[rnd.randrange(256) for _ in range(n)] for _ in mats]
+            stack = np.array([[row + [y] for row, y in zip(m, b)] for m, b in zip(mats, rhs)],
+                             dtype=np.uint8)
+            assert _row_reduce(stack, n, GF256).tolist() == ranks
+            for m, b, r, reduced in zip(mats, rhs, ranks, stack):
+                if r < n:
+                    assert solve_linear_system(m, b) is None
+                    continue
+                x = reduced[:, n].tolist()
+                for row, y in zip(m, b):
+                    acc = 0
+                    for c, v in zip(row, x):
+                        acc ^= gf_mul_reference(c, v)
+                    assert acc == y
+                assert solve_linear_system(m, b) == x

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -15,8 +16,9 @@ from qrggsim import (
     verify_achievability,
     xor_relay_demo,
 )
+from qrggsim import rlnc
 from qrggsim.gf256 import GF2, GF256
-from qrggsim.rlnc import CodingDag, CyclicSkip
+from qrggsim.rlnc import CODING_BLOCK, CodingDag, CyclicSkip
 
 RLNC_PIN = "f6f8e3b74fb1f0f0fbd5c8317f727bfe786a42c7f160c66687504dfc636a74a1"
 
@@ -185,3 +187,117 @@ class TestRlncPin:
         digest, cyclic = _rlnc_record(graphs)
         assert 0 < cyclic < len(graphs)
         assert digest == RLNC_PIN
+
+
+def reference_successes(graph, dag, trials, rng, field):
+    """The coding check one trial at a time over plain Python lists, drawing
+    from the same child streams: propagate the global vectors node by node in
+    topological order, encode the message through each terminal's vectors,
+    solve by list Gauss-Jordan and compare. Returns the successful trials."""
+    mul, inv, h = field.mul.tolist(), field.inv.tolist(), dag.rate
+
+    def combine(coeffs, vectors):
+        acc = [0] * h
+        for c, g in zip(coeffs, vectors):
+            acc = [a ^ mul[c][x] for a, x in zip(acc, g)]
+        return acc
+
+    def solve(matrix, rhs):
+        rows = [list(row) + [y] for row, y in zip(matrix, rhs)]
+        for col in range(h):
+            pivot = next((i for i in range(col, h) if rows[i][col]), None)
+            if pivot is None:
+                return None
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            rows[col] = [mul[inv[rows[col][col]]][x] for x in rows[col]]
+            for i in range(h):
+                if i != col and rows[i][col]:
+                    m = mul[rows[i][col]]
+                    rows[i] = [x ^ m[y] for x, y in zip(rows[i], rows[col])]
+        return [row[h] for row in rows]
+
+    nodes = [u for u in dag.topo_order if dag.out_arcs.get(u)]
+    n_ins = [h if u == graph.source else len(dag.in_arcs[u]) for u in nodes]
+    lows = [int(n_in == 1) for u, n_in in zip(nodes, n_ins)
+            for _ in range(n_in * len(dag.out_arcs[u]))]
+    units = [[int(i == j) for j in range(h)] for i in range(h)]
+    successes = 0
+    for i in range(trials):
+        stream = rng.child("rlnc-trial", i)
+        coeffs = stream.integers(lows, field.order).tolist()
+        vectors, k = {}, 0
+        for u, n_in in zip(nodes, n_ins):
+            ins = units if u == graph.source else [vectors[e] for e in dag.in_arcs[u]]
+            for arc in dag.out_arcs[u]:
+                vectors[arc] = combine(coeffs[k:k + n_in], ins)
+                k += n_in
+        msg = stream.integers(0, field.order, size=h).tolist()
+        successes += all(
+            solve(matrix, combine(msg, list(zip(*matrix)))) == msg
+            for matrix in ([vectors[e] for e in dag.in_arcs[t]] for t in graph.terminal_ids)
+        )
+    return successes
+
+
+class TestBlockedCheckMatchesReference:
+    def test_success_counts_match_the_per_trial_reference(self):
+        small = ConnectionModel(r=0.2, r_prime=0.4, kernel="fixed", p=0.5)
+        fig3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
+        cases = [(build_connectivity_graph(6 + 6 * (seed % 5), 1 + seed % 4, small,
+                                           RandomStream.from_seed(seed)),
+                  GF2 if seed % 2 else GF256, CODING_BLOCK + 1)
+                 for seed in range(60)]
+        cases += [(build_connectivity_graph(200, 4, fig3, RandomStream.from_seed(seed)),
+                   GF256, CODING_BLOCK) for seed in (0, 5)]
+        compared, rates, terminals, gf2_failures = 0, set(), set(), 0
+        for seed, (g, field, trials) in enumerate(cases):
+            report = verify_achievability(g, trials, RandomStream.from_seed(seed), field=field)
+            dag = build_coding_dag(g, report.h) if report.h else None
+            if not isinstance(dag, CodingDag):
+                continue
+            expected = reference_successes(g, dag, trials, RandomStream.from_seed(seed), field)
+            assert report.success_fraction == expected / trials, seed
+            compared += 1
+            rates.add(report.h)
+            terminals.add(len(g.terminal_ids))
+            gf2_failures += (trials - expected) if field is GF2 else 0
+        assert compared >= 40
+        assert 1 in rates and terminals == {1, 2, 3, 4}
+        assert gf2_failures > 0
+
+
+class TestCodingMemory:
+    def test_peak_is_bounded_by_the_block_not_the_trial_count(self, monkeypatch):
+        fig3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
+        g = build_connectivity_graph(200, 4, fig3, RandomStream.from_seed(0))
+        cuts = [min_cut(g, t).capacity for t in g.terminal_ids]
+        trials = 20 * CODING_BLOCK
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                result = fn()
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        flows_peak, dag = traced_peak(lambda: build_coding_dag(g, min(cuts)))
+        # A block's largest arrays (the global vectors, the terminals'
+        # systems and the products that build them) each hold at most
+        # CODING_BLOCK x arcs x (h + 1) cells; allowing 8-byte index copies
+        # of a few of them gives 32 cells' worth of bytes per vector entry.
+        # One array for all 20 blocks would need 20 for the vectors alone,
+        # plus its temporaries.
+        bound = flows_peak + 32 * CODING_BLOCK * len(dag.arcs) * dag.rate
+
+        def check():
+            return verify_achievability(g, trials, RandomStream.from_seed(1), cuts=cuts)
+
+        peak, report = traced_peak(check)
+        assert report.h == dag.rate and not report.cyclic_skipped
+        assert peak < bound
+        # The guard has teeth: the whole check as one block breaks it.
+        monkeypatch.setattr(rlnc, "CODING_BLOCK", trials)
+        peak_unblocked, unblocked = traced_peak(check)
+        assert unblocked == report
+        assert peak_unblocked > bound
