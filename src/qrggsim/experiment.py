@@ -104,8 +104,8 @@ def run_trial(config: ExperimentConfig, trial_index: int):
     graph = build_connectivity_graph(
         config.n_relays, config.n_terminals, config.model, stream
     )
-    cuts = [min_cut(graph, t).capacity for t in graph.terminal_ids]
-    capacity = min(cuts)
+    cuts = [min_cut(graph, t) for t in graph.terminal_ids]
+    capacities = [cut.capacity for cut in cuts]
     source_cut = graph.source_degree()
     rlnc_success = None
     cyclic = None
@@ -115,7 +115,7 @@ def run_trial(config: ExperimentConfig, trial_index: int):
         )
         cyclic = report.cyclic_skipped
         rlnc_success = None if report.cyclic_skipped else report.success_fraction
-    return capacity, cuts, source_cut, rlnc_success, cyclic
+    return min(capacities), capacities, source_cut, rlnc_success, cyclic
 
 
 def _histogram(values: list[int], bins: int | None):

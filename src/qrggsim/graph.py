@@ -14,7 +14,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -195,12 +195,69 @@ def _near_pairs(positions: np.ndarray, radius: float):
     return np.divmod(np.sort(np.concatenate(keys)), n)
 
 
+@dataclass(frozen=True, eq=False)
+class Flow:
+    """An integral max flow from the source to one terminal, as _max_flow
+    leaves it.
+
+    level[v] >= 0 iff v is reachable from the source in the final residual
+    network; arc e runs to to[e] with residual capacity cap[e] (0 or 1).
+    `spent` holds the arcs each augmenting path spent, phase after phase in
+    augmentation order, and path k ends at spent[ends[k] - 1].
+    """
+
+    terminal: int
+    value: int
+    level: np.ndarray
+    to: np.ndarray
+    cap: np.ndarray
+    spent: np.ndarray
+    ends: tuple[int, ...]
+
+    def paths(self, limit: int | None = None) -> list[list[int]]:
+        """The flow of the first `limit` augmenting paths (all when None),
+        decomposed into edge-disjoint s->t node paths.
+
+        A Dinic run stopped at `limit` units is a prefix of the full run: the
+        same level graphs and the same DFS order up to its last augmentation.
+        Each spend turns the arc and its partner around, so replaying a prefix
+        leaves forward arc 2k carrying the parity of its pair's spends: the
+        flow that run leaves.
+        """
+        count = self.value if limit is None else max(0, min(limit, self.value))
+        if count == self.value:
+            # Forward arc e carries cap[e ^ 1] units.
+            carried = self.cap[1::2]
+        else:
+            spent = self.spent[:self.ends[count - 1] if count else 0]
+            carried = np.bincount(spent >> 1, minlength=len(self.to) // 2) & 1
+        # Antiparallel relay flows cancel.
+        e = 2 * np.flatnonzero(carried)
+        used = set(zip(self.to[e + 1].tolist(), self.to[e].tolist()))
+        out_flow: dict[int, list[int]] = {}
+        for u, v in sorted(used):
+            if (v, u) not in used:
+                out_flow.setdefault(u, []).append(v)
+
+        paths = []
+        for _ in range(count):
+            path = [0]
+            u = 0
+            while u != self.terminal:
+                u = out_flow[u].pop(0)
+                path.append(u)
+            paths.append(path)
+        return paths
+
+
 @dataclass(frozen=True)
 class CutResult:
     terminal: int
     partition_vk: tuple[int, ...]  # source-side relays, sorted
     k: int
     capacity: int
+    # The max flow that certifies the cut; None from the exhaustive oracle.
+    flow: Flow | None = field(default=None, compare=False, repr=False)
 
 
 def _check_terminal(graph: ConnectivityGraph, terminal: int):
@@ -241,9 +298,7 @@ def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
     that DFS finds: a function of the graph alone. Stops once `limit` units
     flow; the limit is at most min(deg s, deg t), which bounds the max flow.
 
-    Returns (flow, level, to, cap), the last three numpy arrays: level[v] >= 0
-    iff v is reachable from the source in the final residual network; arc e
-    runs to to[e] with residual capacity cap[e] (0 or 1).
+    Returns the Flow, with the arcs each augmenting path spent.
     """
     n = graph.n_nodes
     e = graph.edges.astype(np.int32)
@@ -268,6 +323,8 @@ def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
     limit = bound if limit is None else min(limit, bound)
 
     flow = 0
+    spent = [arc[:0]]  # per phase, the arcs spent, in augmentation order
+    ends = []
     while True:
         # layers[d] holds the positions of the residual arcs out of the nodes
         # at level d. While flow is still wanted, the BFS stops at the
@@ -288,7 +345,7 @@ def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
                 break
             frontier = np.flatnonzero(level == len(layers))
         if level[terminal] < 0 or flow >= limit:
-            return flow, level, to, cap
+            return Flow(terminal, flow, level, to, cap, np.concatenate(spent), tuple(ends))
         # Backward sweep: reach[v] is v's level once v is known to reach the
         # terminal, else -1.
         reach = np.full(n, -1, np.int32)
@@ -304,12 +361,14 @@ def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
         it = first[:]
         path = []  # kept arcs from the source to u
         used = []
+        offset = ends[-1] if ends else 0
         u = 0
         while flow < limit:
             if u == terminal:
                 for k in path:  # each arc is spent for the rest of the phase
                     it[tails[k]] += 1
                 used += path
+                ends.append(offset + len(used))
                 flow += 1
                 path = []
                 u = 0
@@ -321,46 +380,31 @@ def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
             else:
                 path.append(it[u])
                 u = heads[it[u]]
-        spent = arc[keep[used]]
-        cap[spent] = False
-        cap[spent ^ 1] = True
+        spent.append(arc[keep[used]])
+        cap[spent[-1]] = False
+        cap[spent[-1] ^ 1] = True
 
 
 def min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:
     """Exact s-t min cut via integer max flow; certificate is the
-    source-side-minimal relay partition (residual reachability)."""
+    source-side-minimal relay partition (residual reachability). The flow
+    comes along, so its paths need no second run."""
     _check_terminal(graph, terminal)
-    value, level, _, _ = _max_flow(graph, terminal)
-    partition = tuple((np.flatnonzero(level[1:1 + graph.n_relays] >= 0) + 1).tolist())
+    flow = _max_flow(graph, terminal)
+    partition = tuple((np.flatnonzero(flow.level[1:1 + graph.n_relays] >= 0) + 1).tolist())
     return CutResult(
-        terminal=terminal, partition_vk=partition, k=len(partition), capacity=value
+        terminal=terminal, partition_vk=partition, k=len(partition),
+        capacity=flow.value, flow=flow,
     )
 
 
 def edge_disjoint_paths(
     graph: ConnectivityGraph, terminal: int, limit: int | None = None
 ) -> list[list[int]]:
-    """Decompose an integral max flow into edge-disjoint s->t node paths."""
+    """Decompose an integral max flow, stopped at `limit` units, into
+    edge-disjoint s->t node paths."""
     _check_terminal(graph, terminal)
-    flow, _, to, cap = _max_flow(graph, terminal, limit)
-    # Forward arc e carries cap[e ^ 1] units; antiparallel relay flows cancel.
-    e = 2 * np.flatnonzero(cap[1::2])
-    used = set(zip(to[e + 1].tolist(), to[e].tolist()))
-    out_flow: dict[int, list[int]] = {}
-    for u, v in sorted(used):
-        if (v, u) not in used:
-            out_flow.setdefault(u, []).append(v)
-
-    paths = []
-    for _ in range(flow):
-        path = [0]
-        u = 0
-        while u != terminal:
-            v = out_flow[u].pop(0)
-            path.append(v)
-            u = v
-        paths.append(path)
-    return paths
+    return _max_flow(graph, terminal, limit).paths()
 
 
 def brute_force_min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:

@@ -1,10 +1,10 @@
 """Random linear network coding over flow-induced acyclic orientations.
 
-Achievability checker for the min-cut multicast capacity: h edge-disjoint
-paths per terminal are extracted from integral max flows, their orientations
-are unioned into a DAG, and random local coefficients are propagated as
-global coding vectors. A terminal decodes iff its h incoming vectors have
-full rank over the field.
+Achievability checker for the min-cut multicast capacity: each terminal's h
+edge-disjoint paths are the first h augmenting paths of its min-cut flow,
+replayed; their orientations are unioned into a DAG, and random local
+coefficients are propagated as global coding vectors. A terminal decodes
+iff its h incoming vectors have full rank over the field.
 
 Undirected flow unions can be cyclic; cyclic instances are detected and
 reported as a CyclicSkip diagnostic rather than coded convolutionally.
@@ -19,10 +19,11 @@ from graphlib import CycleError, TopologicalSorter
 import numpy as np
 
 from .bounds import _sig6
-# matrix_rank and solve_linear_system are unused here but stay bound: the
-# benchmark's tracer wraps them by name.
-from .gf256 import GF256, _row_reduce, matrix_rank, solve_linear_system  # noqa: F401
-from .graph import ConnectivityGraph, edge_disjoint_paths, multicast_capacity
+from .gf256 import GF256, _row_reduce
+from .graph import ConnectivityGraph, CutResult, min_cut
+# Unused here but bound in this module, where the benchmark's tracer wraps them.
+from .gf256 import matrix_rank, solve_linear_system  # noqa: F401
+from .graph import edge_disjoint_paths, multicast_capacity  # noqa: F401
 from .rng import RandomStream
 
 # Coding trials run together as one numpy pass per block of this many, which
@@ -57,18 +58,34 @@ class CyclicSkip:
     cycle: tuple[int, ...]
 
 
-def build_coding_dag(graph: ConnectivityGraph, rate: int):
-    """Orient each flow-used edge and union across terminals.
+def _terminal_cuts(graph: ConnectivityGraph, cuts) -> list[CutResult]:
+    """One min_cut result per terminal, in terminal_ids order, each with its
+    flow: `cuts` when it is that, computed when it is None."""
+    if cuts is None:
+        return [min_cut(graph, t) for t in graph.terminal_ids]
+    cuts = list(cuts)
+    if not all(isinstance(c, CutResult) and c.flow is not None for c in cuts) or [
+        c.terminal for c in cuts
+    ] != graph.terminal_ids:
+        raise ValueError("cuts must hold min_cut's result for each terminal, in terminal order")
+    return cuts
+
+
+def build_coding_dag(graph: ConnectivityGraph, rate: int, cuts=None):
+    """Orient each flow-used edge and union across terminals. The paths are
+    the first `rate` augmenting paths of each terminal's min-cut flow:
+    `cuts`, min_cut's result per terminal in terminal order, or computed
+    when None.
 
     Returns a CodingDag when the union is acyclic, a CyclicSkip diagnostic
     otherwise (including the direct conflict of one edge used both ways).
     """
     if rate < 0:
         raise ValueError("rate must be non-negative")
-    # A terminal with fewer than `rate` paths has a min cut below the rate.
-    flows = [edge_disjoint_paths(graph, t, limit=rate) for t in graph.terminal_ids]
-    if any(len(paths) < rate for paths in flows):
+    cuts = _terminal_cuts(graph, cuts)
+    if any(cut.capacity < rate for cut in cuts):
         raise ValueError("rate exceeds the multicast capacity")
+    flows = [cut.flow.paths(rate) for cut in cuts]
 
     orientation: dict[tuple[int, int], tuple[int, int]] = {}
     for paths in flows:
@@ -184,21 +201,25 @@ def verify_achievability(
     cuts=None,
 ) -> AchievabilityReport:
     """Random-coding check that the min-cut rate is decodable at every
-    terminal. h is fixed to the multicast capacity: the least of `cuts`, the
-    per-terminal min cuts when the caller already has them, or else computed.
+    terminal. h is fixed to the multicast capacity, the least of the
+    terminals' min cuts: `cuts`, min_cut's result per terminal when the
+    caller already has them, or else computed.
 
     Each terminal has exactly h in-arcs: build_coding_dag routes h
     edge-disjoint paths into it, and no other terminal's flow touches it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    h = multicast_capacity(graph) if cuts is None else min(cuts)
+    cuts = _terminal_cuts(graph, cuts)
+    if not cuts:
+        raise ValueError("need at least one terminal")
+    h = min(cut.capacity for cut in cuts)
     if h == 0:
         return AchievabilityReport(
             h=0, trials=trials, success_fraction=1.0,
             cyclic_skipped=False, field_poly=field.poly,
         )
-    dag = build_coding_dag(graph, h)
+    dag = build_coding_dag(graph, h, cuts)
     if isinstance(dag, CyclicSkip):
         return AchievabilityReport(
             h=h, trials=trials, success_fraction=0.0,

@@ -15,6 +15,7 @@ from qrggsim import (
     run_trial,
 )
 from qrggsim import experiment
+from qrggsim import graph as graph_module
 from qrggsim.experiment import (
     capacity_csv,
     histogram_csv,
@@ -51,6 +52,22 @@ class TestRunTrial:
             capacity, cuts, source_cut, _, _ = run_trial(config, i)
             assert 0 <= capacity <= source_cut
             assert capacity == min(cuts)
+
+    def test_one_max_flow_per_terminal_with_the_coding_check(self, monkeypatch):
+        # The coding check takes its paths from the min-cut flows run_trial
+        # already has, so a trial runs one max flow per terminal.
+        calls = []
+        max_flow = graph_module._max_flow
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return max_flow(*args, **kwargs)
+
+        monkeypatch.setattr(graph_module, "_max_flow", counted)
+        config = small_config(n_relays=200, n_terminals=4, trials=1, rlnc_check=True)
+        capacity, _, _, rlnc_success, _ = run_trial(config, 0)
+        assert capacity > 0 and rlnc_success is not None  # the check built its DAG
+        assert sorted(calls) == [201, 202, 203, 204]
 
     def test_index_guard(self):
         with pytest.raises(ValueError):

@@ -462,11 +462,59 @@ class TestFlowPin:
         for g in graphs:
             for t in g.terminal_ids:
                 full = _max_flow(g, t)
-                for f, level, _, cap in (full, _max_flow(g, t, full[0] // 2)):
-                    records.append([int(f), np.asarray(level, int).tolist(),
-                                    np.asarray(cap, int).tolist()])
+                for flow in (full, _max_flow(g, t, full.value // 2)):
+                    records.append([int(flow.value), np.asarray(flow.level, int).tolist(),
+                                    np.asarray(flow.cap, int).tolist()])
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == SCALE_FLOW_PIN
+
+
+class TestFlowReplay:
+    def test_replayed_paths_equal_a_limited_run(self):
+        # The coding check takes its paths from the min-cut flow: the first
+        # `limit` augmentations, replayed, must give what a run stopped at
+        # `limit` gives, at every limit and across Dinic phases.
+        graphs = [random_graph(seed, n_relays=12 + 4 * (seed % 13), n_terminals=1 + seed % 4)
+                  for seed in range(150)]
+        graphs += [build_connectivity_graph(200, 4, FIG3, RandomStream.from_seed(seed))
+                   for seed in range(5)]
+        graphs.append(build_connectivity_graph(1000, 2, FIG3, RandomStream.from_seed(0)))
+        cases, phases = 0, []
+        for g in graphs:
+            for t in g.terminal_ids:
+                cut = min_cut(g, t)
+                assert cut.flow.paths() == edge_disjoint_paths(g, t)
+                for limit in range(cut.capacity + 2):
+                    assert cut.flow.paths(limit) == _max_flow(g, t, limit).paths(), (t, limit)
+                    cases += 1
+                # A Dinic phase's augmenting paths all have the length of
+                # that phase, and the length grows from phase to phase.
+                phases.append(len(set(np.diff((0, *cut.flow.ends)))))
+        assert cases > 3500
+        assert max(phases) >= 5 and phases.count(1) < len(phases) / 4
+
+    def test_replay_across_a_cancelled_arc(self):
+        # Phase 1 routes s-1-2-t; phase 2 needs s-3-4-2-1-5-6-t, which turns
+        # the flow on 1-2 back; phase 3 takes the 8-hop chain through 8..14.
+        # Replaying two paths must cancel 1-2 rather than keep it.
+        edges = [(0, 1), (1, 2), (2, 15), (0, 3), (3, 4), (2, 4), (1, 5), (5, 6), (6, 15),
+                 (0, 8), *[(k, k + 1) for k in range(8, 14)], (14, 15)]
+        g = from_edges(14, 1, edges)
+        flow = min_cut(g, 15).flow
+        assert flow.ends == (3, 10, 18)
+        assert np.bincount(flow.spent >> 1).max() == 2
+        assert flow.paths(1) == [[0, 1, 2, 15]]
+        assert flow.paths(2) == [[0, 1, 5, 6, 15], [0, 3, 4, 2, 15]]
+        for limit in range(5):
+            assert flow.paths(limit) == _max_flow(g, 15, limit).paths()
+
+    def test_min_cut_carries_its_flow_outside_equality(self):
+        g = butterfly_graph()
+        cut = min_cut(g, 5)
+        assert cut.flow.terminal == 5 and cut.flow.value == cut.capacity == 2
+        assert cut == brute_force_min_cut(g, 5)
+        assert brute_force_min_cut(g, 5).flow is None
+        assert "flow" not in repr(cut)
 
 
 def _scipy_max_flow(graph, terminal) -> int:

@@ -7,6 +7,7 @@ import pytest
 from qrggsim import (
     ConnectionModel,
     RandomStream,
+    brute_force_min_cut,
     build_coding_dag,
     build_connectivity_graph,
     butterfly_graph,
@@ -135,10 +136,22 @@ class TestVerifyAchievability:
         model = ConnectionModel(r=0.2, r_prime=0.4, kernel="fixed", p=0.5)
         for seed in range(20):
             g = build_connectivity_graph(12, 1 + seed % 3, model, RandomStream.from_seed(seed))
-            cuts = [min_cut(g, t).capacity for t in g.terminal_ids]
+            cuts = [min_cut(g, t) for t in g.terminal_ids]
             given = verify_achievability(g, 8, RandomStream.from_seed(seed), cuts=cuts)
             assert given == verify_achievability(g, 8, RandomStream.from_seed(seed))
-            assert given.h == min(cuts)
+            assert given.h == min(cut.capacity for cut in cuts)
+
+    def test_cuts_must_be_flow_cuts_of_every_terminal_in_order(self):
+        g = butterfly_graph()
+        cuts = [min_cut(g, t) for t in g.terminal_ids]
+        oracle = [brute_force_min_cut(g, t) for t in g.terminal_ids]
+        assert oracle == cuts  # equal but for the flow, which == ignores
+        for bad in (cuts[:1], cuts[::-1], oracle, [cut.capacity for cut in cuts], []):
+            with pytest.raises(ValueError):
+                verify_achievability(g, 8, RandomStream.from_seed(1), cuts=bad)
+            with pytest.raises(ValueError):
+                build_coding_dag(g, 2, bad)
+        assert build_coding_dag(g, 2, cuts) == build_coding_dag(g, 2)
 
     def test_binary_field_fails_visibly_more_often(self):
         g = butterfly_graph()
@@ -270,7 +283,7 @@ class TestCodingMemory:
     def test_peak_is_bounded_by_the_block_not_the_trial_count(self, monkeypatch):
         fig3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
         g = build_connectivity_graph(200, 4, fig3, RandomStream.from_seed(0))
-        cuts = [min_cut(g, t).capacity for t in g.terminal_ids]
+        cuts = [min_cut(g, t) for t in g.terminal_ids]
         trials = 20 * CODING_BLOCK
 
         def traced_peak(fn):
@@ -281,7 +294,7 @@ class TestCodingMemory:
             finally:
                 tracemalloc.stop()
 
-        flows_peak, dag = traced_peak(lambda: build_coding_dag(g, min(cuts)))
+        flows_peak, dag = traced_peak(lambda: build_coding_dag(g, min(c.capacity for c in cuts)))
         # A block's largest arrays (the global vectors, the terminals'
         # systems and the products that build them) each hold at most
         # CODING_BLOCK x arcs x (h + 1) cells; allowing 8-byte index copies
