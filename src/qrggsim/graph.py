@@ -225,12 +225,8 @@ class Flow:
         flow that run leaves.
         """
         count = self.value if limit is None else max(0, min(limit, self.value))
-        if count == self.value:
-            # Forward arc e carries cap[e ^ 1] units.
-            carried = self.cap[1::2]
-        else:
-            spent = self.spent[:self.ends[count - 1] if count else 0]
-            carried = np.bincount(spent >> 1, minlength=len(self.to) // 2) & 1
+        spent = self.spent[:self.ends[count - 1] if count else 0]
+        carried = np.bincount(spent >> 1, minlength=len(self.to) // 2) & 1
         # Antiparallel relay flows cancel.
         e = 2 * np.flatnonzero(carried)
         used = set(zip(self.to[e + 1].tolist(), self.to[e].tolist()))

@@ -20,7 +20,8 @@ import numpy as np
 
 from .bounds import _sig6
 from .gf256 import GF256, _row_reduce
-from .graph import ConnectivityGraph, CutResult, min_cut
+from . import graph as _graph
+from .graph import ConnectivityGraph, CutResult
 # Unused here but bound in this module, where the benchmark's tracer wraps them.
 from .gf256 import matrix_rank, solve_linear_system  # noqa: F401
 from .graph import edge_disjoint_paths, multicast_capacity  # noqa: F401
@@ -62,7 +63,9 @@ def _terminal_cuts(graph: ConnectivityGraph, cuts) -> list[CutResult]:
     """One min_cut result per terminal, in terminal_ids order, each with its
     flow: `cuts` when it is that, computed when it is None."""
     if cuts is None:
-        return [min_cut(graph, t) for t in graph.terminal_ids]
+        # Through the graph module at call time, so that a wrapper set there
+        # (the benchmark's tracer) sees these flows.
+        return [_graph.min_cut(graph, t) for t in graph.terminal_ids]
     cuts = list(cuts)
     if not all(isinstance(c, CutResult) and c.flow is not None for c in cuts) or [
         c.terminal for c in cuts
@@ -211,8 +214,6 @@ def verify_achievability(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cuts = _terminal_cuts(graph, cuts)
-    if not cuts:
-        raise ValueError("need at least one terminal")
     h = min(cut.capacity for cut in cuts)
     if h == 0:
         return AchievabilityReport(
