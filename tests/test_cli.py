@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -346,3 +347,41 @@ class TestVersion:
         assert exc.value.code == 0
         out, _ = capsys.readouterr().out, None
         assert out.strip() == "0.1.0"
+
+
+OUTPUT_PIN = "1440d54e888a0dcc5cd8126ff900f3507431c35f5b1447372748a2b4f21df892"
+
+
+class TestOutputPin:
+    def test_output_bytes_are_pinned(self, capsys, tmp_path):
+        # sha256 over each command's stdout and files, which the serialisers,
+        # the audit rows and the CSV formatter all feed. stderr is left out:
+        # it echoes paths and the CPU-capped --jobs.
+        runs = [
+            ["experiment", "--n", "60", "--terminals", "2", "--r", "0.3",
+             "--r-prime", "0.5", "--p", "0.5", "--trials", "40", "--seed", "4",
+             "--audit", "0.3,0.5", "--bins", "6", "--out", "r.json",
+             "--csv", "c.csv", "--hist-csv", "h.csv"],
+            ["export", "--result", "r.json", "--csv", "c2.csv", "--hist-csv", "h2.csv"],
+            ["experiment", "--n", "60", "--terminals", "2", "--kernel", "linear-decay",
+             "--r", "0.15432198", "--r-prime", "0.2876543", "--p-connection", "0.9",
+             "--trials", "6", "--seed", "5", "--rlnc-check", "--hist-csv", "h.csv"],
+            ["sweep", "--n-list", "40,25", "--r-list", "0.2,0.15", "--r-prime-list",
+             "0.3,0.35", "--trials", "3", "--seed", "6"],
+            ["bounds", "--n", "200", *FIG3_FLAGS],
+            ["bounds", "--n", "5000", "--terminals", "3", "--k", "7", *FIG3_FLAGS],
+            ["bounds", "--n", "50", "--r", "0", "--r-prime", "0", "--p", "0.5"],
+            ["generate", "--n", "30", "--terminals", "3", "--r", "0.2",
+             "--r-prime", "0.35", "--p", "0.6", "--seed", "7", "--out", "g.json"],
+            ["verify-rlnc", "--graph", "g.json", "--trials", "20", "--seed", "8"],
+        ]
+        digest = hashlib.sha256()
+        for argv in runs:
+            files = [tmp_path / a for a in argv if a.endswith((".csv", ".json"))]
+            argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]
+            code, stdout, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            digest.update(stdout.encode())
+            for path in files:
+                digest.update(path.read_bytes())
+        assert digest.hexdigest() == OUTPUT_PIN

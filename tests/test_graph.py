@@ -31,6 +31,7 @@ from qrggsim.model import kernel_probability
 FIG3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
 FLOW_PIN = "8d16df39d7082cd8b5782647f5ce4251a1a6ff6f2fd444cd36f8db8ff4e2915e"
 SCALE_FLOW_PIN = "50d18f408224bb4996b401f7b4e616f74c1a27859e5b934ec4502d311b140941"
+ORACLE_PIN = "b818323739b493d439c50c78fcf16dabcc94f933b513e9acca4c9de61b3878f6"
 
 
 def random_graph(seed, n_relays=None, n_terminals=None):
@@ -257,6 +258,18 @@ class TestBruteForce:
         g = build_connectivity_graph(21, 1, FIG3, RandomStream.from_seed(0))
         with pytest.raises(ValueError):
             brute_force_min_cut(g, g.terminal_ids[0])
+
+    def test_minimal_partitions_are_pinned(self):
+        # The partition, not only the capacity: 125 of these 159 cuts have
+        # more than one minimal partition, so the tie-break is pinned too.
+        records = []
+        for seed in range(80):
+            g = random_graph(seed, n_relays=4 + seed % 7, n_terminals=1 + seed % 3)
+            for t in g.terminal_ids:
+                cut = brute_force_min_cut(g, t)
+                records.append([cut.capacity, list(cut.partition_vk)])
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == ORACLE_PIN
 
 
 class TestMulticastCapacity:
