@@ -8,7 +8,7 @@ explicit vacuity flags so callers see an honest answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .model import (
     ConnectionModel,
@@ -104,33 +104,23 @@ class BoundReport:
     vacuous_upper: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "tau": self.tau,
-            "p_prime": _sig6(self.p_prime),
-            "p_prime_interval": [_sig6(self.p_prime_interval[0]), _sig6(self.p_prime_interval[1])],
-            "expected_c0": _sig6(self.expected_c0),
-            "epsilon_lower": _sig6(self.epsilon_lower),
-            "lower_bound": _sig6(self.lower_bound),
-            "lower_fail_prob": _sig6(self.lower_fail_prob),
-            "epsilon_upper": _sig6(self.epsilon_upper),
-            "upper_bound": _sig6(self.upper_bound),
-            "upper_fail_prob": _sig6(self.upper_fail_prob),
-            "vacuous_lower": self.vacuous_lower,
-            "vacuous_upper": self.vacuous_upper,
-        }
+        return {name: _sig6(value) for name, value in asdict(self).items()}
 
 
-def _sig6(x: float | None):
-    """Round to 6 significant digits for stable serialization.
+def _sig6(x):
+    """Round a float to 6 significant digits for stable serialization.
 
-    None and non-finite values (vacuous epsilon at p' = 0) serialize as null.
+    A non-finite float (vacuous epsilon at p' = 0) serializes as null, a
+    tuple or list as a list of rounded items; any other value (int, bool,
+    str, None) passes through unchanged.
     """
-    if x is None or not math.isfinite(x):
+    if isinstance(x, (tuple, list)):
+        return [_sig6(v) for v in x]
+    if not isinstance(x, float):
+        return x
+    if not math.isfinite(x):
         return None
-    if x == 0:
-        return 0.0
-    return float(f"{x:.6g}")
+    return float(f"{x:.6g}") if x else 0.0
 
 
 def full_report(n: int, tau: int, model: ConnectionModel, k: int = 0) -> BoundReport:

@@ -188,9 +188,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_float_list(text: str, what: str):
+def _parse_list(text: str, what: str, kind=float):
     try:
-        values = [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [kind(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise CliError(f"bad {what} list: {text!r}") from exc
     if not values:
@@ -269,7 +269,7 @@ def _experiment_config(args) -> ExperimentConfig:
     seed = _resolve_seed(args)
     epsilons = ()
     if args.audit:
-        epsilons = tuple(_parse_float_list(args.audit, "audit epsilon"))
+        epsilons = tuple(_parse_list(args.audit, "audit epsilon"))
     try:
         return ExperimentConfig(
             n_relays=args.n,
@@ -304,11 +304,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    n_list = [int(x) for x in _parse_float_list(args.n_list, "n")]
-    r_list = _parse_float_list(args.r_list, "r")
-    r_prime_list = (
-        _parse_float_list(args.r_prime_list, "r'") if args.r_prime_list else None
-    )
+    n_list = _parse_list(args.n_list, "n", int)
+    r_list = _parse_list(args.r_list, "r")
+    r_prime_list = _parse_list(args.r_prime_list, "r'") if args.r_prime_list else None
     seed = _resolve_seed(args)
     _check_jobs(args)
     _print_resolved("sweep", {

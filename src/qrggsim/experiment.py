@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -45,17 +45,9 @@ class ExperimentConfig:
                 raise ValueError("audit epsilons must lie in (0, 1)")
 
     def to_json(self) -> dict:
-        return {
-            "n_relays": self.n_relays,
-            "n_terminals": self.n_terminals,
-            "model": self.model.to_json(),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "histogram_bins": self.histogram_bins,
-            "audit_epsilons": list(self.audit_epsilons),
-            "rlnc_check": self.rlnc_check,
-            "rlnc_trials": self.rlnc_trials,
-        }
+        # Provenance: exact, not rounded.
+        return {**asdict(self), "model": self.model.to_json(),
+                "audit_epsilons": list(self.audit_epsilons)}
 
 
 @dataclass(frozen=True)
@@ -80,7 +72,7 @@ class ExperimentResult:
             "mean": _sig6(self.mean),
             "std_dev": _sig6(self.std_dev),
             "histogram": {
-                "bin_edges": [_sig6(e) for e in self.histogram_edges],
+                "bin_edges": _sig6(self.histogram_edges),
                 "counts": self.histogram_counts,
             },
             "bound_report": self.bound_report.to_json(),
@@ -195,28 +187,22 @@ def audit_bounds(result: ExperimentResult, epsilons: list[float]) -> list[dict]:
     the capacity upper bound when its own epsilon is non-vacuous.
     Each row carries ok = observed <= bound + 3 sigma sampling slack.
     """
-    rows = []
     report = result.bound_report
-    n = report.n
-    p_prime = report.p_prime
     e_c0 = report.expected_c0
     trials = len(result.per_trial_capacity)
+
+    def row(kind, epsilon, observed, bound):
+        slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
+        return {"kind": kind, "epsilon": epsilon, "observed": _sig6(observed),
+                "bound": _sig6(bound), "slack": _sig6(slack), "ok": observed <= bound + slack}
+
+    rows = []
     for eps in epsilons:
-        if not 0.0 < eps < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+        bound = cut_tail_bound(report.n, 0, report.p_prime, eps)
         threshold = (1.0 - eps) * e_c0
         observed = sum(1 for c in result.per_trial_source_cut if c < threshold) / trials
-        bound = cut_tail_bound(n, 0, p_prime, eps)
-        slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
-        rows.append({
-            "kind": "lower_tail_k0",
-            "epsilon": eps,
-            "observed": _sig6(observed),
-            "bound": _sig6(bound),
-            "slack": _sig6(slack),
-            "ok": observed <= bound + slack,
-        })
-    eps_u, bound_u, fail_u, vacuous = upper_bound_report(n, p_prime)
+        rows.append(row("lower_tail_k0", eps, observed, bound))
+    eps_u, _, fail_u, vacuous = upper_bound_report(report.n, report.p_prime)
     if vacuous:
         rows.append({
             "kind": "upper_capacity",
@@ -230,15 +216,7 @@ def audit_bounds(result: ExperimentResult, epsilons: list[float]) -> list[dict]:
     else:
         threshold = (1.0 + eps_u) * e_c0
         observed = sum(1 for c in result.per_trial_capacity if c > threshold) / trials
-        slack = 3.0 * math.sqrt(fail_u * (1.0 - fail_u) / trials)
-        rows.append({
-            "kind": "upper_capacity",
-            "epsilon": _sig6(eps_u),
-            "observed": _sig6(observed),
-            "bound": _sig6(fail_u),
-            "slack": _sig6(slack),
-            "ok": observed <= fail_u + slack,
-        })
+        rows.append(row("upper_capacity", _sig6(eps_u), observed, fail_u))
     return rows
 
 
@@ -291,24 +269,23 @@ def save_result(result: ExperimentResult, path: str):
     write_json_atomic(path, result.to_json())
 
 
-def capacity_csv(capacities: list[int]) -> str:
-    lines = ["trial,capacity"]
-    lines += [f"{i},{c}" for i, c in enumerate(capacities)]
+def _csv(header, rows) -> str:
+    """CSV text: the header's column names, then one line per row; float
+    cells are written %.6g, any other cell with str."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{x:.6g}" if isinstance(x, float) else str(x) for x in row)
+              for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def capacity_csv(capacities: list[int]) -> str:
+    return _csv(("trial", "capacity"), enumerate(capacities))
 
 
 def histogram_csv(edges: list[float], counts: list[int]) -> str:
-    lines = ["bin_lo,bin_hi,count"]
-    for lo, hi, count in zip(edges, edges[1:], counts):
-        lines.append(f"{_sig6(lo):.6g},{_sig6(hi):.6g},{count}")
-    return "\n".join(lines) + "\n"
+    return _csv(("bin_lo", "bin_hi", "count"), zip(edges, edges[1:], counts))
 
 
 def sweep_to_csv(rows) -> str:
-    lines = ["n,r,r_prime,mean,std"]
-    for row in rows:
-        lines.append(
-            f"{row['n']},{row['r']:.6g},{row['r_prime']:.6g},"
-            f"{row['mean']:.6g},{row['std']:.6g}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = ("n", "r", "r_prime", "mean", "std")
+    return _csv(columns, ([row[c] for c in columns] for row in rows))

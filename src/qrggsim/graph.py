@@ -10,6 +10,7 @@ flow).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -264,9 +265,8 @@ def _check_terminal(graph: ConnectivityGraph, terminal: int):
 def cut_capacity(graph: ConnectivityGraph, terminal: int, partition_vk) -> int:
     """Crossing capacity of the relay partition (V_k source side)."""
     _check_terminal(graph, terminal)
-    vk = sorted(set(int(x) for x in partition_vk))
-    relay_set = set(graph.relay_ids)
-    if not set(vk) <= relay_set:
+    vk = [int(x) for x in partition_vk]
+    if not set(vk) <= set(graph.relay_ids):
         raise ValueError("partition must be a subset of the relays")
     # Side 0 is the source with V_k, side 1 the other relays with the
     # terminal, side -1 the other terminals; a row crosses iff its sides sum to 1.
@@ -404,42 +404,20 @@ def edge_disjoint_paths(
 
 
 def brute_force_min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:
-    """Independent oracle: exhaustive minimum over all relay partitions.
+    """Independent oracle: exhaustive minimum over all relay partitions,
+    each counted by cut_capacity.
 
     Ties broken by lexicographically smallest sorted V_k tuple.
     """
     _check_terminal(graph, terminal)
-    n = graph.n_relays
-    if n > BRUTE_FORCE_MAX_RELAYS:
+    if graph.n_relays > BRUTE_FORCE_MAX_RELAYS:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_RELAYS}")
-    relays = np.array(graph.relay_ids, dtype=int)
-    a = np.zeros((graph.n_nodes, graph.n_nodes), dtype=int)
-    for i, j in graph.edge_list():
-        a[i, j] = a[j, i] = 1
-    s_row = a[0, relays]
-    t_col = a[relays, terminal]
-    rr = a[np.ix_(relays, relays)]
-
-    best_value = None
-    best_tuple = None
-    for mask in range(1 << n):
-        sel = np.array([(mask >> b) & 1 for b in range(n)], dtype=bool)
-        value = int(s_row[~sel].sum())
-        if sel.any() and (~sel).any():
-            value += int(rr[np.ix_(sel, ~sel)].sum())
-        value += int(t_col[sel].sum())
-        vk = tuple(int(r) for r in relays[sel])
-        if best_value is None or value < best_value or (
-            value == best_value and vk < best_tuple
-        ):
-            best_value = value
-            best_tuple = vk
-    return CutResult(
-        terminal=terminal,
-        partition_vk=best_tuple,
-        k=len(best_tuple),
-        capacity=best_value,
+    capacity, vk = min(
+        (cut_capacity(graph, terminal, vk), vk)
+        for k in range(graph.n_relays + 1)
+        for vk in itertools.combinations(graph.relay_ids, k)
     )
+    return CutResult(terminal=terminal, partition_vk=vk, k=len(vk), capacity=capacity)
 
 
 def multicast_capacity(graph: ConnectivityGraph) -> int:
@@ -470,10 +448,12 @@ def graph_to_json(graph: ConnectivityGraph) -> dict:
 def graph_from_json(obj: dict) -> ConnectivityGraph:
     """Graph from its JSON document; a malformed document raises ValueError."""
     try:
-        n_relays = int(obj["n_relays"])
+        n_relays = obj["n_relays"]
+        if not isinstance(n_relays, int) or isinstance(n_relays, bool):
+            raise ValueError(f"n_relays must be an integer, not {n_relays!r}")
         terminals = obj["terminals"]
         first_t = 1 + n_relays
-        if terminals != list(range(first_t, first_t + len(terminals))):
+        if not terminals or terminals != list(range(first_t, first_t + len(terminals))):
             raise ValueError(f"terminals must be the ids that follow the relays, from {first_t}")
         model = None if obj.get("model") is None else ConnectionModel.from_json(obj["model"])
         return from_edges(

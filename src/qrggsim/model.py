@@ -10,7 +10,7 @@ either a constant probability p ("fixed") or a distance-decaying probability
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,12 +50,7 @@ class ConnectionModel:
             raise ValueError("probability parameter must lie in [0, 1]")
 
     def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "r_prime": self.r_prime,
-            "kernel": self.kernel,
-            "p": self.p,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConnectionModel":

@@ -140,7 +140,7 @@ class AchievabilityReport:
     field_poly: str = "0x11B"
 
     def to_json(self) -> dict:
-        return {**asdict(self), "success_fraction": _sig6(self.success_fraction)}
+        return {name: _sig6(value) for name, value in asdict(self).items()}
 
 
 def _coding_plan(dag: CodingDag, source: int):

@@ -72,6 +72,10 @@ class TestExitCodes:
             {"n_relays": 2, "terminals": [3], "positions": [[0.1], [0.2]], "edges": []},
             {"n_relays": 2, "terminals": [3]},
             [],
+            # These two loaded: as 2 relays, and as a graph without terminals
+            # on which the commands failed with "min() arg is an empty sequence".
+            {"n_relays": 2.9, "terminals": [3], "edges": [[0, 1], [1, 3]]},
+            {"n_relays": 2, "terminals": [], "edges": [[0, 1], [1, 2]]},
         ]:
             bad.write_text(json.dumps(doc))
             code, _, err = run_cli(capsys, "capacity", "--graph", str(bad))
@@ -230,6 +234,16 @@ class TestSweep:
         assert lines[0] == "n,r,r_prime,mean,std"
         assert len(lines) == 3
         assert lines[1].startswith("10,") and lines[2].startswith("20,")
+
+    @pytest.mark.parametrize("n_list", ["2.7", "inf", "10,1e3"])
+    def test_n_list_takes_integers_only(self, capsys, n_list):
+        # "2.7" used to run n=2, and "inf" to exit 2 as a runtime failure.
+        code, stdout, err = run_cli(
+            capsys, "sweep", "--n-list", n_list, "--r-list", "0.1",
+            "--trials", "1", "--seed", "5",
+        )
+        assert (code, stdout) == (1, "")
+        assert f"error: bad n list: {n_list!r}" in err
 
     def test_r_prime_list_length_mismatch(self, capsys):
         code, _, _ = run_cli(

@@ -424,9 +424,20 @@ class TestJson:
             ("positions", [[0.1]] * 8),      # not (n_nodes, 2)
             ("positions", [[0.1, 0.2]] * 7),
             ("edges", [[0, 6]]),             # source-terminal
+            ("n_relays", 5.9),               # int() would make these 5
+            ("n_relays", 5.0),
+            ("n_relays", "5"),
         ]:
             with pytest.raises(ValueError):
                 graph_from_json({**obj, key: value})
+        one_relay = {"n_relays": 1, "terminals": [2], "edges": [[0, 1]]}
+        graph_from_json(one_relay)
+        for key, value in [
+            ("n_relays", True),              # int() would make this 1
+            ("terminals", []),
+        ]:
+            with pytest.raises(ValueError, match=key):
+                graph_from_json({**one_relay, key: value})
         with pytest.raises(ValueError):
             graph_from_json({"n_relays": 2, "terminals": [7], "positions": [[0.1], [0.2]],
                              "edges": []})
