@@ -237,7 +237,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("n_list", ["2.7", "inf", "10,1e3"])
     def test_n_list_takes_integers_only(self, capsys, n_list):
-        # "2.7" used to run n=2, and "inf" to exit 2 as a runtime failure.
+        # "2.7" used to run n=2, "1e3" n=1000, and "inf" to exit 2 as a runtime failure.
         code, stdout, err = run_cli(
             capsys, "sweep", "--n-list", n_list, "--r-list", "0.1",
             "--trials", "1", "--seed", "5",
