@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -353,18 +354,20 @@ def _cmd_export(args) -> int:
 
 
 def _check_result_shape(obj):
-    """The fields _write_artifacts reads must be lists of numbers."""
+    """The fields _write_artifacts reads must be lists of finite numbers
+    (math.isfinite overflows on an int beyond the float range)."""
     try:
         fields = (obj["per_trial_capacity"], obj["histogram"]["bin_edges"],
                   obj["histogram"]["counts"])
         ok = all(isinstance(values, list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
+            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+            for x in values
         ) for values in fields)
-    except (KeyError, TypeError):
+    except (KeyError, TypeError, OverflowError):
         ok = False
     if not ok:
         raise CliError("not an experiment result document: per_trial_capacity and "
-                       "histogram.bin_edges/counts must be lists of numbers")
+                       "histogram.bin_edges/counts must be lists of finite numbers")
 
 
 def _write_artifacts(args, doc: dict):

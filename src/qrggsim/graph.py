@@ -283,27 +283,50 @@ def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
 
     Arcs are source->relay, both directions of each relay-relay edge (pairs
     i < j row-major, i->j first) and relay->terminal, in that order; the
-    residual partner of arc e is e ^ 1. Other terminals get no arcs.
+    residual partner of arc e is e ^ 1. Other terminals get no arcs. Stops
+    once `limit` units flow; the limit is at most min(deg s, deg t), which
+    bounds the max flow.
 
-    Each phase does its O(E) work in numpy: a frontier BFS sets the levels,
-    and a backward sweep keeps only the level-graph arcs (residual, one
-    level up) into nodes from which the terminal is reachable. An iterative
-    augmenting DFS then walks the kept arcs, each node's in index order. The
-    arcs dropped are those on which a DFS over all arcs would meet only dead
-    ends, and dead ends change no capacity, so the flow found is the one
-    that DFS finds: a function of the graph alone. Stops once `limit` units
-    flow; the limit is at most min(deg s, deg t), which bounds the max flow.
+    Each phase sets levels by BFS and keeps the level-graph arcs (residual,
+    one level up) into nodes from which the terminal is reachable; an
+    iterative augmenting DFS then walks the kept arcs, each node's in index
+    order. The arcs dropped are those on which a DFS over all arcs would
+    meet only dead ends, and dead ends change no capacity, so the flow found
+    is the one that DFS finds: a function of the graph alone. Two engines
+    run the phases and return the same Flow, field for field. A dense
+    network, whose bitset row of ceil(n / 64) words is no longer than the
+    mean degree 2E / n, runs on bitset rows (_bitset_flow); a sparse one on
+    numpy arc arrays (_csr_flow), where rows would cost O(n^2) bits.
 
     Returns the Flow, with the arcs each augmenting path spent.
     """
-    n = graph.n_nodes
+    dense = -(-graph.n_nodes // 64) * graph.n_nodes <= 2 * len(graph.edges)
+    return (_bitset_flow if dense else _csr_flow)(graph, terminal, limit)
+
+
+def _flow_arcs(graph: ConnectivityGraph, terminal: int, limit: int | None):
+    """The arcs both engines share: the source's neighbours `src` and the
+    terminal's `dst`, and forward arc 2k running tail[k] -> head[k], as
+    int32 arrays; plus the limit, capped at min(deg s, deg t)."""
     e = graph.edges.astype(np.int32)
     i, j = e[:, 0], e[:, 1]
     src = j[i == 0]
-    rr = e[(i > 0) & (j <= graph.n_relays)]
+    relay = (i > 0) & (j <= graph.n_relays)
+    # Column by column: selecting or reversing the (E, 2) rows is far slower.
+    ri, rj = i[relay], j[relay]
     dst = i[j == terminal]
-    tail = np.concatenate([np.zeros_like(src), rr.ravel(), dst])
-    head = np.concatenate([src, rr[:, ::-1].ravel(), np.full_like(dst, terminal)])
+    tail = np.concatenate([np.zeros_like(src), np.stack([ri, rj], 1).ravel(), dst])
+    head = np.concatenate([src, np.stack([rj, ri], 1).ravel(), np.full_like(dst, terminal)])
+    bound = min(len(src), len(dst))
+    return src, dst, tail, head, bound if limit is None else min(limit, bound)
+
+
+def _csr_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None):
+    """_max_flow with each phase's O(E) work in numpy: a frontier BFS sets
+    the levels, a backward sweep keeps the level-graph arcs, and the DFS
+    walks the kept arcs in CSR order."""
+    n = graph.n_nodes
+    _, _, tail, head, limit = _flow_arcs(graph, terminal, limit)
     # Arc 2k is tail[k] -> head[k] with capacity 1; arc 2k + 1 is its partner.
     frm = np.stack([tail, head], 1).ravel()
     to = np.stack([head, tail], 1).ravel()
@@ -315,8 +338,6 @@ def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
     arc = np.argsort(frm.astype(np.min_scalar_type(n)), kind="stable")
     frm_p, to_p = frm[arc], to[arc]
     start = np.searchsorted(frm_p, np.arange(n + 1))
-    bound = min(len(src), len(dst))
-    limit = bound if limit is None else min(limit, bound)
 
     flow = 0
     spent = [arc[:0]]  # per phase, the arcs spent, in augmentation order
@@ -379,6 +400,150 @@ def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
         spent.append(arc[keep[used]])
         cap[spent[-1]] = False
         cap[spent[-1] ^ 1] = True
+
+
+# Arc id offset, from the pair's base 2 * (S + 2r), of the slot-th live arc
+# from relay u to relay v: row [u > v]. From i (u < v) the live arcs to j are
+# b (i->j) then b + 3 (partner of j->i); from j they are b + 1 then b + 2.
+_PAIR_SLOT = np.array([[0, 3], [1, 2]])
+
+
+def _bitset_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None):
+    """_max_flow with each phase on Python-int bitset rows.
+
+    res[u] has bit v set iff some arc u -> v has residual capacity. A BFS
+    level is the OR of the frontier's rows minus the nodes seen (the bitmap
+    frontier of Beamer, Asanovic & Patterson, SC 2012); the backward sweep
+    keeps the level-d nodes whose row meets reach[d + 1]; the DFS at u walks
+    res[u] & reach[level(u) + 1] in ascending node order, which is the arc
+    order of the CSR scan. Only a relay pair has parallel arcs: i -> j is b
+    and b + 3, j -> i is b + 1 and b + 2, live as the pair's two forward
+    arcs carry flow. An arc is spent at most once in a phase and none of a
+    node's up-level arcs changes before the node is visited, so the DFS
+    takes a node's candidates as its row stands at the first visit. Spends
+    are (tail, head, slot) triples, mapped to arc ids once at the end.
+    """
+    n = graph.n_nodes
+    src, dst, tail, head, limit = _flow_arcs(graph, terminal, limit)
+    res = _bit_rows(n, tail, head)
+    width = (n + 7) // 8
+    carried = {}  # u * n + v for relays u < v -> bit 0: arc b, bit 1: arc b + 2 carries flow
+    spends = []   # (tail, head, slot) in augmentation order
+    phase_ends = []
+    ends = []
+    flow = 0
+    while True:
+        # levels[d] lists the level-d nodes; while flow is still wanted the
+        # BFS stops at the terminal's level, whose list it leaves complete.
+        levels = [[0]]
+        seen = 1
+        while True:
+            reached = 0
+            for u in levels[-1]:
+                reached |= res[u]
+            reached &= ~seen
+            if not reached:
+                break
+            seen |= reached
+            levels.append(_bit_ids(reached, width))
+            if reached >> terminal & 1 and flow < limit:
+                break
+        if not seen >> terminal & 1 or flow >= limit:
+            break
+        # reach[d] holds the level-d nodes that reach the terminal.
+        reach = [0] * len(levels)
+        reach[-1] = 1 << terminal
+        for d in range(len(levels) - 2, -1, -1):
+            up = reach[d + 1]
+            for u in levels[d]:
+                if res[u] & up:
+                    reach[d] |= 1 << u
+        cur = {}  # node -> heads of its kept arcs not yet passed; lowest first
+        path = [0]  # nodes from the source; path[k] is at level k
+        while flow < limit:
+            u = path[-1]
+            if u == terminal:
+                for a, b in zip(path, path[1:]):
+                    slot, more = 0, False
+                    if a and b != terminal:
+                        key = a * n + b if a < b else b * n + a
+                        s = carried.get(key, 0)
+                        if a < b:
+                            slot = s & 1
+                            s ^= 2 if slot else 1
+                            more = s & 2
+                        else:
+                            slot = 1 - (s & 1)
+                            s ^= 2 if slot else 1
+                            more = not s & 2
+                        carried[key] = s
+                    spends.append((a, b, slot))
+                    res[b] |= 1 << a
+                    if not more:  # a's last live arc to b: pass b
+                        res[a] ^= 1 << b
+                        cur[a] &= cur[a] - 1
+                ends.append(len(spends))
+                flow += 1
+                path = [0]
+                continue
+            m = cur[u] = cur.get(u, res[u]) & reach[len(path)]
+            if m:
+                path.append((m & -m).bit_length() - 1)
+            elif len(path) > 1:  # dead end: retreat, and drop u from its level
+                reach[len(path) - 1] ^= 1 << path.pop()
+            else:
+                break
+        phase_ends.append(len(spends))
+
+    level = np.full(n, -1, np.int32)
+    for d, nodes in enumerate(levels):
+        level[nodes] = d
+    u, v, slot = np.array(spends, np.int64).reshape(-1, 3).T
+    spent = np.empty(len(spends), np.int64)
+    from_s, to_t = u == 0, v == terminal
+    relay = ~(from_s | to_t)
+    spent[from_s] = 2 * np.searchsorted(src, v[from_s])
+    spent[to_t] = len(tail) * 2 - 2 * len(dst) + 2 * np.searchsorted(dst, u[to_t])
+    # Relay pair r's first forward arc, i -> j, is arc 2 * (len(src) + 2r).
+    pairs = slice(len(src), len(tail) - len(dst), 2)
+    u, v, slot = u[relay], v[relay], slot[relay]
+    row = np.searchsorted(tail[pairs].astype(np.int64) * n + head[pairs],
+                          np.minimum(u, v) * n + np.maximum(u, v))
+    spent[relay] = 2 * (len(src) + 2 * row) + _PAIR_SLOT[(u > v).astype(np.intp), slot]
+    cap = np.tile(np.array([True, False]), len(head))
+    for lo, hi in zip([0, *phase_ends], phase_ends):
+        cap[spent[lo:hi]] = False
+        cap[spent[lo:hi] ^ 1] = True
+    to = np.stack([head, tail], 1).ravel()
+    return Flow(terminal, flow, level, to, cap, spent, tuple(ends))
+
+
+def _bit_rows(n: int, tail: np.ndarray, head: np.ndarray) -> list[int]:
+    """Row u as a Python int with bit v set iff some arc u -> v is listed.
+
+    Rows are packed a block at a time, each block a dense bool array of at
+    most about 16 bytes per listed arc: no more than the int64 CSR order
+    that _csr_flow sorts the arcs into."""
+    width = (n + 7) // 8
+    block = max(1, 16 * len(tail) // n)
+    rows = []
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        dense = np.zeros((hi - lo, n), bool)
+        if lo == 0 and hi == n:
+            dense[tail, head] = True
+        else:
+            inside = (tail >= lo) & (tail < hi)
+            dense[tail[inside] - lo, head[inside]] = True
+        data = np.packbits(dense, axis=1, bitorder="little").tobytes()
+        rows += [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
+    return rows
+
+
+def _bit_ids(bits: int, width: int) -> list[int]:
+    """The set bits of a row, ascending."""
+    b = np.frombuffer(bits.to_bytes(width, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(b, bitorder="little")).tolist()
 
 
 def min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:

@@ -54,6 +54,13 @@ class ConnectionModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConnectionModel":
+        """Model from its JSON object; a field of the wrong type raises
+        ValueError naming the field (a bool is not a number here)."""
+        for key in ("r", "r_prime", "p"):
+            if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float)):
+                raise ValueError(f"model {key} must be a number, not {obj[key]!r}")
+        if not isinstance(obj["kernel"], str):
+            raise ValueError(f"model kernel must be a string, not {obj['kernel']!r}")
         return cls(r=obj["r"], r_prime=obj["r_prime"], kernel=obj["kernel"], p=obj["p"])
 
 

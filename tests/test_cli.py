@@ -76,6 +76,9 @@ class TestExitCodes:
             # on which the commands failed with "min() arg is an empty sequence".
             {"n_relays": 2.9, "terminals": [3], "edges": [[0, 1], [1, 3]]},
             {"n_relays": 2, "terminals": [], "edges": [[0, 1], [1, 2]]},
+            # This loaded too: range checks alone let booleans through.
+            {"n_relays": 1, "terminals": [2], "edges": [[0, 1], [1, 2]],
+             "model": {"r": True, "r_prime": True, "kernel": "fixed", "p": True}},
         ]:
             bad.write_text(json.dumps(doc))
             code, _, err = run_cli(capsys, "capacity", "--graph", str(bad))
@@ -352,6 +355,31 @@ class TestExport:
         assert code == 1
         assert "error" in err
         assert not csv.exists()
+
+
+    @pytest.mark.parametrize("flag, field, value", [
+        # Each of these exited 0: the SVG drew width="nan", the CSVs wrote inf.
+        ("--svg", "bin_edges", [0, 1e7, float("inf")]),
+        ("--hist-csv", "bin_edges", [0, 1e7, float("inf")]),
+        ("--svg", "counts", [1, float("nan")]),
+        ("--csv", "per_trial_capacity", [1, float("-inf")]),
+        ("--csv", "per_trial_capacity", [float("nan")]),
+        ("--hist-csv", "bin_edges", [0, 10**400, 10**401]),  # no float holds these
+    ])
+    def test_non_finite_result_is_validation_error(self, capsys, tmp_path, flag, field, value):
+        doc = {"per_trial_capacity": [1, 2], "histogram": {"bin_edges": [0, 1, 2],
+                                                            "counts": [1, 1]}}
+        if field == "per_trial_capacity":
+            doc[field] = value
+        else:
+            doc["histogram"][field] = value
+        result_path = tmp_path / "r.json"
+        result_path.write_text(json.dumps(doc))  # writes Infinity and NaN as JSON does
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "export", "--result", str(result_path), flag, str(out))
+        assert code == 1
+        assert "finite" in err
+        assert not out.exists()
 
 
 class TestVersion:

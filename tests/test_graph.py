@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrggsim import (
     ConnectionModel,
@@ -25,7 +27,7 @@ from qrggsim import (
     wheatstone_graph,
 )
 from qrggsim import graph as graph_module
-from qrggsim.graph import _max_flow, _near_pairs
+from qrggsim.graph import _bitset_flow, _csr_flow, _max_flow, _near_pairs
 from qrggsim.model import kernel_probability
 
 FIG3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
@@ -438,6 +440,20 @@ class TestJson:
         ]:
             with pytest.raises(ValueError, match=key):
                 graph_from_json({**one_relay, key: value})
+        model = {"r": 0.1, "r_prime": 0.2, "kernel": "fixed", "p": 0.5}
+        graph_from_json({**one_relay, "model": model})
+        for key, value in [
+            ("r", True),                     # range checks alone let bools through
+            ("r_prime", True),
+            ("p", True),
+            ("p", False),
+            ("r", "0.1"),
+            ("r_prime", None),
+            ("kernel", 1),
+            ("kernel", ["fixed"]),
+        ]:
+            with pytest.raises(ValueError, match=key):
+                graph_from_json({**one_relay, "model": {**model, key: value}})
         with pytest.raises(ValueError):
             graph_from_json({"n_relays": 2, "terminals": [7], "positions": [[0.1], [0.2]],
                              "edges": []})
@@ -575,3 +591,108 @@ class TestScipyOracle:
                 cut = min_cut(g, t)
                 assert cut.capacity == _scipy_max_flow(g, t)
                 assert cut_capacity(g, t, cut.partition_vk) == cut.capacity
+
+
+def assert_same_flow(a, b):
+    """Field-for-field equality of two Flows, dtypes included."""
+    assert (a.terminal, a.value, a.ends) == (b.terminal, b.value, b.ends)
+    for name in ("level", "to", "cap", "spent"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def assert_engines_agree(graphs):
+    for g in graphs:
+        for t in g.terminal_ids:
+            full = _csr_flow(g, t)
+            for limit in (None, 0, 1, full.value // 2):
+                assert_same_flow(_csr_flow(g, t, limit), _bitset_flow(g, t, limit))
+
+
+def sparse_model(r_prime):
+    return ConnectionModel(r=r_prime / 2, r_prime=r_prime, kernel="fixed", p=0.5)
+
+
+class TestFlowEngines:
+    # _max_flow runs dense networks on bitset rows and sparse ones on numpy
+    # arc arrays; every caller relies on the two giving the same Flow.
+
+    def test_engines_agree_on_the_pinned_graphs(self):
+        graphs = [random_graph(seed, n_relays=30, n_terminals=2 + seed % 3)
+                  for seed in range(30)]
+        graphs += [build_connectivity_graph(200, 2 + seed % 3, FIG3, RandomStream.from_seed(seed))
+                   for seed in range(10)]
+        graphs += [build_connectivity_graph(n, tau, FIG3, RandomStream.from_seed(seed))
+                   for n, tau, seed in [(1000, 2, 41), (1000, 1, 42), (2000, 1, 43)]]
+        assert_engines_agree(graphs)
+
+    @pytest.mark.parametrize("n, r_prime", [(2000, 0.05), (2000, 0.02), (5000, 0.03)])
+    def test_engines_agree_on_sparse_geometric_graphs(self, n, r_prime):
+        g = build_connectivity_graph(n, 2, sparse_model(r_prime), RandomStream.from_seed(n))
+        assert_engines_agree([g])
+
+    def test_engines_agree_on_the_long_chain(self):
+        hops = 1200
+        g = from_edges(hops - 1, 1, [(k, k + 1) for k in range(hops)])
+        assert_engines_agree([g])
+
+    def test_switch_picks_rows_only_for_dense_networks(self, monkeypatch):
+        chosen = []
+        for name in ("_csr_flow", "_bitset_flow"):
+            monkeypatch.setattr(graph_module, name,
+                                lambda g, t, limit, name=name: chosen.append(name))
+        chain = from_edges(1199, 1, [(k, k + 1) for k in range(1200)])
+        # A few edges among a huge number of relays: rows would be O(n^2) bits.
+        scattered = graph_from_json({"n_relays": 10**6, "terminals": [10**6 + 1],
+                                     "edges": [[0, 1], [1, 2], [2, 10**6 + 1]]})
+        graphs = [
+            build_connectivity_graph(200, 1, FIG3, RandomStream.from_seed(1)),   # degree 13
+            build_connectivity_graph(2000, 1, FIG3, RandomStream.from_seed(1)),  # degree 134
+            build_connectivity_graph(2000, 1, sparse_model(0.05), RandomStream.from_seed(1)),
+            chain,
+            scattered,
+            wheatstone_graph(),  # 4 nodes and 3 edges: one word per row
+        ]
+        for g in graphs:
+            _max_flow(g, g.terminal_ids[0])
+        assert chosen == ["_bitset_flow", "_bitset_flow", "_csr_flow", "_csr_flow",
+                          "_csr_flow", "_bitset_flow"]
+
+    def test_lower_endpoint_takes_its_forward_arc_first(self):
+        # The mirror of test_replay_across_a_cancelled_arc: phase 1 routes
+        # s-2-1-t over arc b + 2 (2 -> 1) of pair (1, 2); phase 2 reaches 1 by
+        # s-3-4-1 and leaves it for 2, when both of 1's arcs to 2 are live.
+        # Node 1 must take b (1 -> 2) before b + 3, so both forward arcs of
+        # the pair end up carrying flow.
+        edges = [(0, 2), (1, 2), (1, 15), (0, 3), (3, 4), (1, 4), (2, 5), (5, 6), (6, 15),
+                 (0, 8), *[(k, k + 1) for k in range(8, 14)], (14, 15)]
+        g = from_edges(14, 1, edges)
+        b = 2 * 3  # three source edges, and (1, 2) is relay-relay row 0
+        for flow in (_csr_flow(g, 15), _bitset_flow(g, 15), min_cut(g, 15).flow):
+            assert flow.ends == (3, 10, 18)
+            assert flow.spent.tolist() == [0, 8, 50, 2, 18, 12, 6, 14, 22, 52, 4, 26, 30, 34,
+                                           38, 42, 46, 54]
+            assert flow.cap[b:b + 4].tolist() == [False, True, False, True]
+            assert flow.paths(2) == [[0, 2, 5, 6, 15], [0, 3, 4, 1, 15]]
+
+
+@st.composite
+def small_graphs(draw):
+    n_relays = draw(st.integers(0, 12))
+    n_terminals = draw(st.integers(1, 3))
+    first_t = 1 + n_relays
+    allowed = [(i, j) for i in range(first_t) for j in range(i + 1, first_t + n_terminals)
+               if not (i == 0 and j >= first_t)]
+    edges = sorted(draw(st.sets(st.sampled_from(allowed)))) if allowed else []
+    terminal = draw(st.integers(first_t, first_t + n_terminals - 1))
+    return from_edges(n_relays, n_terminals, edges), terminal
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.none() | st.integers(0, 6))
+def test_engines_agree_with_the_exhaustive_oracle(case, limit):
+    g, t = case
+    assert_same_flow(_csr_flow(g, t, limit), _bitset_flow(g, t, limit))
+    cut = min_cut(g, t)
+    assert cut.capacity == brute_force_min_cut(g, t).capacity
+    assert cut_capacity(g, t, cut.partition_vk) == cut.capacity
