@@ -23,8 +23,16 @@ from .model import ConnectionModel, kernel_probability, sample_points
 from .rng import RandomStream
 
 BRUTE_FORCE_MAX_RELAYS = 20
-# Nodes the near-pair search handles per numpy pass; bounds its temporaries.
-NEAR_PAIR_BLOCK = 1024
+# Candidate pairs the near-pair search screens per numpy pass; bounds its
+# temporaries.
+NEAR_PAIR_CHUNK = 1 << 16
+# The near-pair screen compares dx*dx + dy*dy with radius**2 and calls
+# np.hypot only inside this relative band around it. The squares, their sum,
+# radius**2 and np.hypot (1 ulp) each err by a few units of 2**-53, far
+# inside 2**-40; the absolute floor covers squares that underflow (each
+# loses under 2**-1074).
+SCREEN_MARGIN = 2.0**-40
+SCREEN_FLOOR = 2.0**-1068
 
 
 @dataclass(frozen=True)
@@ -128,72 +136,109 @@ def build_connectivity_graph(
     positions = sample_points(n_total, rng.child("positions"))
     edge_rng = rng.child("edges")
 
-    iu, ju = _near_pairs(positions, model.r_prime)
-    # Drop source-terminal and terminal-terminal pairs from the enumeration.
+    keys = _near_pairs(positions, model.r_prime)
+    shift = _key_shift(n_total)
+    # The sorted keys hold the source-terminal pairs (0, j >= first_t) as one
+    # run and the terminal-terminal pairs (i >= first_t) as the last run.
     first_t = 1 + n_relays
-    is_term_i = iu >= first_t
-    is_term_j = ju >= first_t
-    is_source_i = iu == 0
-    allowed = ~((is_source_i & is_term_j) | (is_term_i & is_term_j))
-    iu, ju = iu[allowed], ju[allowed]
+    st_lo, st_hi, tt_lo = np.searchsorted(keys, [first_t, 1 << shift, first_t << shift])
+    keys = np.concatenate([keys[:st_lo], keys[st_hi:tt_lo]])
 
-    d = np.hypot(
-        positions[iu, 0] - positions[ju, 0], positions[iu, 1] - positions[ju, 1]
-    )
-    probs = kernel_probability(d, model)
+    probs = kernel_probability(_pair_distances(positions, keys, shift), model)
     accept = probs >= 1.0
-    stochastic = (probs > 0.0) & (probs < 1.0)
-    draws = edge_rng.random(int(stochastic.sum()))
-    accept[stochastic] = draws < probs[stochastic]
+    stochastic = np.flatnonzero((probs > 0.0) & (probs < 1.0))
+    accept[stochastic] = edge_rng.random(len(stochastic)) < probs[stochastic]
 
-    # _near_pairs is row-major, so the accepted pairs are already sorted.
-    edges = np.stack([iu[accept], ju[accept]], 1)
+    keys = keys[accept]
+    edges = np.empty((len(keys), 2), dtype=np.int64)
+    np.right_shift(keys, shift, out=edges[:, 0])
+    np.bitwise_and(keys, (1 << shift) - 1, out=edges[:, 1])
     return ConnectivityGraph(
         n_relays, n_terminals, edges, positions, model, int(rng.master_seed)
     )
 
 
-def _near_pairs(positions: np.ndarray, radius: float):
-    """All pairs (i < j) at np.hypot distance <= radius, as arrays (iu, ju)
-    in row-major order.
+def _key_shift(n: int) -> int:
+    """Bits of j in the pair key (i << shift) | j of a graph of n nodes."""
+    return max(n - 1, 0).bit_length()
 
-    A fixed-radius near-neighbour search over a grid of square cells
-    (Bentley, Stanat & Williams, 1977). The cells have side > radius / 2,
-    with a margin so that rounding in x * m cannot put a pair at distance
-    radius more than 2 cells apart on an axis. The grid has at most about
-    N cells, which keeps radius 0 and tiny radii O(N).
+
+def _pair_distances(positions: np.ndarray, keys: np.ndarray, shift: int) -> np.ndarray:
+    """np.hypot distance of each pair key (i << shift) | j."""
+    i, j = keys >> shift, keys & ((1 << shift) - 1)
+    x, y = positions.T.copy()
+    dx, dy = x[i], y[i]
+    dx -= x[j]
+    dy -= y[j]
+    return np.hypot(dx, dy, out=dx)
+
+
+def _near_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
+    """All pairs (i < j) at np.hypot distance <= radius, as sorted int64 keys
+    (i << shift) | j with shift = _key_shift(N).
+
+    A fixed-radius near-neighbour search over vertical strips (Bentley,
+    Stanat & Williams, 1977). The strips have width > radius / 2, with a
+    margin so that rounding in x * m cannot put a pair at distance radius
+    more than 2 strips apart; there are at most about sqrt(N) of them, which
+    keeps radius 0 and tiny radii O(N). With the nodes sorted by (strip, y),
+    each node meets the nodes after it in its own strip and the nodes of the
+    next two strips within y +- radius, so each candidate pair is met once.
+    A candidate's squared distance settles it unless it lies within
+    SCREEN_MARGIN of radius**2; only those few take np.hypot.
     """
     n = len(positions)
+    if n < 2:
+        return np.empty(0, dtype=np.int64)
     m = max(1, min(math.isqrt(n), int(2 / max(radius * (1 + 1e-9), 1 / n))))
-    cell_xy = np.minimum((positions * m).astype(np.intp), m - 1)
-    order = np.argsort(cell_xy[:, 0] * m + cell_xy[:, 1], kind="stable")
-    cx, cy = cell_xy[order].T
+    strip = np.minimum((positions[:, 0] * m).astype(np.intp), m - 1)
+    # Strip c holds the keys 4c + y in [4c, 4c + 1], so a window y +- w
+    # with w just over 1 stays inside the strip it targets.
+    key = strip * 4.0 + positions[:, 1]
+    order = np.argsort(key)
+    key = key[order]
     x, y = positions[order].T.copy()
-    # Sorted position p holds node order[p]; cell c is positions
-    # start[c]:start[c + 1], so cells (cx, cy - 2) to (cx, cy + 2) are one slice.
-    start = np.searchsorted(cx * m + cy, np.arange(m * m + 1))
-    # Each near pair is met once: from the smaller position when both nodes
-    # share a column of cells, else from the node in the left column.
-    offsets = np.arange(3)
-    keys = []
-    for lo in range(0, n, NEAR_PAIR_BLOCK):
-        p = np.arange(lo, min(lo + NEAR_PAIR_BLOCK, n))
-        col = cx[p, None] + offsets
-        base = np.minimum(col, m - 1) * m
-        first = start[base + np.maximum(cy[p, None] - 2, 0)]
-        first[:, 0] = p + 1
-        count = start[base + np.minimum(cy[p, None] + 2, m - 1) + 1] - first
-        count[col >= m] = 0
-        count, first = count.ravel(), first.ravel()
-        total = np.cumsum(count)
-        a = p.repeat(len(offsets)).repeat(count)
-        b = np.repeat(first - total + count, count) + np.arange(total[-1])
-        # hypot is even in each argument: these are the bits the build's
-        # distance for (i, j) has.
-        near = np.hypot(x[a] - x[b], y[a] - y[b]) <= radius
-        a, b = order[a[near]], order[b[near]]
-        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
-    return np.divmod(np.sort(np.concatenate(keys)), n)
+    # The slack covers the rounding of 4c + y, of the window bounds and of y - y'.
+    w = min(radius, 1.0) + 8 * np.spacing(8.0 * (m + 1))
+    bounds = np.searchsorted(key, key[:, None] + np.array([w, 4 - w, 4 + w, 8 - w, 8 + w]))
+    # Candidate range 3p + k of sorted node p is strip k to its right.
+    first = bounds[:, [0, 1, 3]]
+    first[:, 0] = np.arange(1, n + 1)
+    first = first.ravel()
+    count = bounds[:, 0::2].ravel() - first
+    total = np.cumsum(count)
+    r2 = radius * radius
+    inside = r2 * (1 - SCREEN_MARGIN) - SCREEN_FLOOR
+    beyond = r2 * (1 + SCREEN_MARGIN) + SCREEN_FLOOR
+    shift = _key_shift(n)
+    keys = [np.empty(0, dtype=np.int64)]
+    # Chunks of whole ranges, each from the range holding candidate k * CHUNK.
+    starts = np.searchsorted(total, np.arange(0, total[-1], NEAR_PAIR_CHUNK), "right")
+    cuts = [*dict.fromkeys(starts.tolist()), 3 * n]
+    for lo, hi in zip(cuts, cuts[1:]):
+        ends = total[lo:hi] - (total[lo - 1] if lo else 0)
+        c = count[lo:hi]
+        a = (np.arange(lo, hi) // 3).repeat(c)
+        b = np.repeat(first[lo:hi] - ends + c, c) + np.arange(ends[-1])
+        dx = x[a]
+        dx -= x[b]
+        dy = y[a]
+        dy -= y[b]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        near = dx <= inside
+        doubt = np.flatnonzero(near != (dx <= beyond))
+        if doubt.size:
+            # hypot is even in each argument: these are the bits the
+            # build's distance for (i, j) has.
+            near[doubt] = np.hypot(x[a[doubt]] - x[b[doubt]], y[a[doubt]] - y[b[doubt]]) <= radius
+        i, j = order[a[near]], order[b[near]]
+        key_ij = np.minimum(i, j)
+        key_ij <<= shift
+        key_ij |= np.maximum(i, j, out=j)
+        keys.append(key_ij)
+    return np.sort(np.concatenate(keys))
 
 
 @dataclass(frozen=True, eq=False)

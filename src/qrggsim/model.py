@@ -72,20 +72,18 @@ def sample_points(n: int, rng: RandomStream) -> np.ndarray:
 
 
 def kernel_probability(d, model: ConnectionModel):
-    """Connection probability at distance d (scalar or array)."""
+    """Connection probability at distance d (scalar or array); a negative
+    or NaN distance raises ValueError."""
     d_arr = np.asarray(d, dtype=float)
-    if np.any(d_arr < 0):
+    if not np.all(d_arr >= 0):
         raise ValueError("distance must be non-negative")
-    out = np.zeros_like(d_arr)
-    out[d_arr <= model.r] = 1.0
-    in_annulus = (d_arr > model.r) & (d_arr <= model.r_prime)
-    if np.any(in_annulus):
-        if model.kernel == KERNEL_FIXED:
-            out[in_annulus] = model.p
-        else:
-            da = d_arr[in_annulus]
-            frac = (da * da - model.r**2) / (model.r_prime**2 - model.r**2)
-            out[in_annulus] = (1.0 - np.sqrt(frac)) * model.p
+    if model.kernel == KERNEL_FIXED:
+        annulus = model.p
+    else:
+        # Only the annulus values are kept, where d > r makes frac >= 0.
+        frac = (d_arr * d_arr - model.r**2) / (model.r_prime**2 - model.r**2)
+        annulus = (1.0 - np.sqrt(np.maximum(frac, 0.0))) * model.p
+    out = np.where(d_arr <= model.r, 1.0, np.where(d_arr <= model.r_prime, annulus, 0.0))
     if np.isscalar(d) or d_arr.ndim == 0:
         return float(out)
     return out

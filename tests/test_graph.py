@@ -27,7 +27,7 @@ from qrggsim import (
     wheatstone_graph,
 )
 from qrggsim import graph as graph_module
-from qrggsim.graph import _bitset_flow, _csr_flow, _max_flow, _near_pairs
+from qrggsim.graph import _bitset_flow, _csr_flow, _key_shift, _max_flow, _near_pairs
 from qrggsim.model import kernel_probability
 
 FIG3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
@@ -108,6 +108,22 @@ def _reference_build(g, model, seed):
     return np.stack([iu[accept], ju[accept]], 1)
 
 
+def _near_pair_ids(positions, radius):
+    """_near_pairs' sorted keys split into (iu, ju) arrays."""
+    keys = _near_pairs(positions, radius)
+    shift = _key_shift(len(positions))
+    return keys >> shift, keys & ((1 << shift) - 1)
+
+
+# Pairs about 0.2 apart on which sqrt(dx*dx + dy*dy) and np.hypot fall on
+# opposite sides of 0.2: the first two are within 0.2 by the squared sum
+# only, the last by np.hypot only.
+HYPOT_SPLIT = [
+    ((0.4045785445665906, 0.33087978308736854), (0.5933706487334925, 0.2648681068154115)),
+    ((0.6499478649078705, 0.4486574540636491), (0.6276636986903239, 0.6474121167410031)),
+    ((0.6714184134021534, 0.6633277969688907), (0.48027995081303665, 0.7222012894682222)),
+]
+
 # 49 points on the lines of a 7 x 7 grid of cells, which is the grid that
 # r' = 0.25 gets (side 1/7 > r' / 2), and pairs at distance exactly 0.25 that
 # lie 2 cells apart: across x, across y, and diagonally from the corner.
@@ -127,14 +143,29 @@ class TestNearPairs:
         (0.0, [(0.3, 0.3), (0.3, 0.3)], {(0, 53), (55, 56)}),
         (1e-9, [(0.5, 0.5), (0.5 + 2**-31, 0.5), (0.7, 0.7), (0.7, 0.7)],
          {(0, 53), (55, 56), (57, 58)}),
+        (0.2, [p for pair in HYPOT_SPLIT for p in pair], {(59, 60)}),
+        # r'**2 underflows to 0 and the squares of these gaps are subnormal.
+        (1e-170, [(1e-160, 0.0), (0.0, 1e-170), (2e-170, 3e-170)], {(0, 53), (0, 56), (53, 56)}),
     ])
     def test_hand_placed_points_match_all_pairs(self, radius, extra, some_pairs):
         positions = np.array(LATTICE + AT_RADIUS + extra)
-        iu, ju = _near_pairs(positions, radius)
+        iu, ju = _near_pair_ids(positions, radius)
         ref_i, ref_j = _all_pairs_within(positions, radius)
         np.testing.assert_array_equal(iu, ref_i)
         np.testing.assert_array_equal(ju, ref_j)
         assert some_pairs <= set(zip(iu.tolist(), ju.tolist()))
+
+    def test_split_pairs_straddle_the_radius(self):
+        # The premise of the 0.2 case above.
+        for pair, by_hypot in zip(HYPOT_SPLIT, (False, False, True)):
+            dx, dy = np.subtract(*pair)
+            assert (np.hypot(dx, dy) <= 0.2) == by_hypot
+            assert (np.sqrt(dx * dx + dy * dy) <= 0.2) != by_hypot
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_points_have_no_pairs(self, n):
+        keys = _near_pairs(np.full((n, 2), 0.5), 0.2)
+        assert keys.dtype == np.int64 and keys.shape == (0,)
 
     def test_tiny_radius_keeps_the_grid_small(self):
         # 2 / r' would be 2e9 cells a side; the grid keeps about N cells.
@@ -142,7 +173,7 @@ class TestNearPairs:
         positions[1] = positions[0]
         tracemalloc.start()
         try:
-            iu, ju = _near_pairs(positions, 1e-9)
+            iu, ju = _near_pair_ids(positions, 1e-9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -55,6 +56,38 @@ class TestSamplePoints:
 
 
 class TestKernelProbability:
+    # sha256 of the outputs below, captured from the masked-assignment
+    # kernel (array bytes, then each scalar call's repr).
+    KERNEL_PIN = "f5409f727ac202945fbb8c281b8f42c48f9631c4b43a24180812033cad9dbc2e"
+
+    def test_outputs_are_pinned(self):
+        digest = hashlib.sha256()
+        for model in (
+            ConnectionModel(0.1, 0.2, "fixed", 0.5),
+            ConnectionModel(0.1, 0.2, "linear_decay", 0.7),
+            ConnectionModel(0.2, 0.2, "fixed", 0.5),
+            ConnectionModel(0.0, 0.3, "linear_decay", 1.0),
+        ):
+            d = [0.0, np.nextafter(0.0, 1.0), 1.5, 2.0]
+            for v in (0.0, model.r, model.r_prime):  # each with its neighbouring floats
+                d += [np.nextafter(v, -1.0) if v > 0 else v, v, np.nextafter(v, 2.0)]
+            d = np.array(d + list(np.linspace(0.0, 0.3, 61)))
+            out = kernel_probability(d, model)
+            assert out.dtype == np.float64 and out.shape == d.shape
+            digest.update(out.tobytes())
+            for v in d.tolist():
+                prob = kernel_probability(v, model)
+                assert type(prob) is float
+                digest.update(repr(prob).encode())
+        assert digest.hexdigest() == self.KERNEL_PIN
+
+    @pytest.mark.parametrize("d", [float("nan"), -1e-300, [0.1, float("nan")], [-0.5, 0.1]])
+    @pytest.mark.parametrize("kernel", ["fixed", "linear_decay"])
+    def test_negative_or_nan_distance_rejected(self, d, kernel):
+        model = ConnectionModel(r=0.1, r_prime=0.2, kernel=kernel, p=0.5)
+        with pytest.raises(ValueError, match="distance must be non-negative"):
+            kernel_probability(d, model)
+
     def test_fixed_annulus_value(self):
         model = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
         assert kernel_probability(0.15, model) == 0.5

@@ -4,10 +4,12 @@
 
 Each RECORD is a `.perfbench_out/run-*.json` file of one `--trace 0` run,
 copied aside after the run (perfbench overwrites it). The output keeps, for
-every run, its workload, seed, provenance and end-to-end metrics; the
-median and quartiles of each metric per workload and seed; and the median
-time of the build and `min_cut` stages at n = 200, 1000 and 2000 (fig3
-radii, one terminal), measured here on the sources under `--src`.
+every run, its workload, seed, provenance, end-to-end metrics and wall
+`trials_per_s`; the median and quartiles of each per workload and seed; and
+the median time of the build and `min_cut` stages (one terminal) at n = 200,
+1000 and 2000 with the fig3 radii and at n = 5000 with sparse radii (mean
+degree about 24, so `min_cut` takes the CSR engine), measured here on the
+sources under `--src`.
 """
 
 from __future__ import annotations
@@ -22,8 +24,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("trials_per_ref_s", "setup_s", "peak_rss_mb")
-# n -> graphs timed; seeds STAGE_SEED, STAGE_SEED + 1, ...
-STAGES = {200: 200, 1000: 30, 2000: 15}
+FIG3 = {"r": 0.1, "r_prime": 0.2, "kernel": "fixed", "p": 0.5}
+SPARSE = {"r": 0.025, "r_prime": 0.05, "kernel": "fixed", "p": 0.5}
+# row -> (n, graphs timed, model); seeds STAGE_SEED, STAGE_SEED + 1, ...
+STAGES = {"200": (200, 200, FIG3), "1000": (1000, 30, FIG3), "2000": (2000, 15, FIG3),
+          "5000 sparse": (5000, 15, SPARSE)}
 STAGE_SEED = 777
 
 
@@ -39,10 +44,10 @@ def stage_medians(src: Path) -> dict:
     import numpy
     from qrggsim import ConnectionModel, RandomStream, build_connectivity_graph, min_cut
 
-    model = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
     out = {}
-    for n, count in STAGES.items():
-        build, cut = [], []
+    for row, (n, count, fields) in STAGES.items():
+        model = ConnectionModel.from_json(fields)
+        build, cut, degree = [], [], []
         for seed in range(STAGE_SEED, STAGE_SEED + count):
             t0 = time.perf_counter()
             g = build_connectivity_graph(n, 1, model, RandomStream.from_seed(seed))
@@ -50,9 +55,12 @@ def stage_medians(src: Path) -> dict:
             min_cut(g, g.terminal_ids[0])
             cut.append(time.perf_counter() - t1)
             build.append(t1 - t0)
-        out[str(n)] = {"graphs": count, "build_ms": statistics.median(build) * 1e3,
-                       "min_cut_ms": statistics.median(cut) * 1e3}
-    return {"model": model.to_json(), "terminals": 1, "first_seed": STAGE_SEED,
+            degree.append(2 * len(g.edges) / g.n_nodes)
+        out[row] = {"n": n, "model": model.to_json(), "graphs": count,
+                    "mean_degree": statistics.mean(degree),
+                    "build_ms": statistics.median(build) * 1e3,
+                    "min_cut_ms": statistics.median(cut) * 1e3}
+    return {"terminals": 1, "first_seed": STAGE_SEED,
             "python": platform.python_version(), "numpy": numpy.__version__,
             "medians": out}
 
@@ -77,13 +85,16 @@ def main(argv=None) -> int:
             "seconds": record["seconds"], "correct": record["correct"],
             "attempted": record["attempted"], "failed": record["failed"],
             "metrics": {k: record["metrics"][k]["value"] for k in METRICS},
+            # Plain wall clock, beside the gated metrics.
+            "trials_per_s": record["notes"]["trials_per_s"],
             "provenance": record["provenance"],
         })
     summary = {}
     for run in runs:
         key = f"{run['workload']} seed {run['seed']}"
-        for k in METRICS:
-            summary.setdefault(key, {}).setdefault(k, []).append(run["metrics"][k])
+        values = {**run["metrics"], "trials_per_s": run["trials_per_s"]}
+        for k, v in values.items():
+            summary.setdefault(key, {}).setdefault(k, []).append(v)
     summary = {key: {k: spread(v) for k, v in metrics.items()}
                for key, metrics in sorted(summary.items())}
     doc = {"label": args.label, "note": args.note, "runs": runs, "summary": summary,
