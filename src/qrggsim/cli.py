@@ -402,6 +402,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except SystemExit:  # error() raises CliError, so only --help and --version exit
+        return EXIT_OK
     try:
         return _COMMANDS[args.command](args)
     except CliError as exc:

@@ -247,17 +247,15 @@ class Flow:
     leaves it.
 
     level[v] >= 0 iff v is reachable from the source in the final residual
-    network; arc e runs to to[e] with residual capacity cap[e] (0 or 1).
-    `spent` holds the arcs each augmenting path spent, phase after phase in
-    augmentation order, and path k ends at spent[ends[k] - 1].
+    network. `hops` holds the nodes each augmenting path visits after the
+    source, in augmentation order: path k is 0, hops[ends[k - 1]:ends[k]]
+    (ends[-1] read as 0) and ends at the terminal.
     """
 
     terminal: int
     value: int
     level: np.ndarray
-    to: np.ndarray
-    cap: np.ndarray
-    spent: np.ndarray
+    hops: np.ndarray
     ends: tuple[int, ...]
 
     def paths(self, limit: int | None = None) -> list[list[int]]:
@@ -266,20 +264,24 @@ class Flow:
 
         A Dinic run stopped at `limit` units is a prefix of the full run: the
         same level graphs and the same DFS order up to its last augmentation.
-        Each spend turns the arc and its partner around, so replaying a prefix
-        leaves forward arc 2k carrying the parity of its pair's spends: the
-        flow that run leaves.
+        Each hop u -> v cancels the unit on v -> u if there is one and adds a
+        unit on u -> v otherwise, so replaying the prefix's hops leaves the
+        flow that run leaves: antiparallel relay flows cancel.
         """
         count = self.value if limit is None else max(0, min(limit, self.value))
-        spent = self.spent[:self.ends[count - 1] if count else 0]
-        carried = np.bincount(spent >> 1, minlength=len(self.to) // 2) & 1
-        # Antiparallel relay flows cancel.
-        e = 2 * np.flatnonzero(carried)
-        used = set(zip(self.to[e + 1].tolist(), self.to[e].tolist()))
+        hops = self.hops[:self.ends[count - 1] if count else 0].tolist()
+        used = set()  # the edges u -> v that carry a unit
+        for a, b in zip((0, *self.ends), self.ends[:count]):
+            u = 0
+            for v in hops[a:b]:
+                if (v, u) in used:
+                    used.remove((v, u))
+                else:
+                    used.add((u, v))
+                u = v
         out_flow: dict[int, list[int]] = {}
         for u, v in sorted(used):
-            if (v, u) not in used:
-                out_flow.setdefault(u, []).append(v)
+            out_flow.setdefault(u, []).append(v)
 
         paths = []
         for _ in range(count):
@@ -343,16 +345,15 @@ def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
     mean degree 2E / n, runs on bitset rows (_bitset_flow); a sparse one on
     numpy arc arrays (_csr_flow), where rows would cost O(n^2) bits.
 
-    Returns the Flow, with the arcs each augmenting path spent.
+    Returns the Flow, with the node path of each augmentation.
     """
     dense = -(-graph.n_nodes // 64) * graph.n_nodes <= 2 * len(graph.edges)
     return (_bitset_flow if dense else _csr_flow)(graph, terminal, limit)
 
 
 def _flow_arcs(graph: ConnectivityGraph, terminal: int, limit: int | None):
-    """The arcs both engines share: the source's neighbours `src` and the
-    terminal's `dst`, and forward arc 2k running tail[k] -> head[k], as
-    int32 arrays; plus the limit, capped at min(deg s, deg t)."""
+    """The arcs both engines share: forward arc 2k runs tail[k] -> head[k],
+    as int32 arrays; plus the limit, capped at min(deg s, deg t)."""
     e = graph.edges.astype(np.int32)
     i, j = e[:, 0], e[:, 1]
     src = j[i == 0]
@@ -363,7 +364,7 @@ def _flow_arcs(graph: ConnectivityGraph, terminal: int, limit: int | None):
     tail = np.concatenate([np.zeros_like(src), np.stack([ri, rj], 1).ravel(), dst])
     head = np.concatenate([src, np.stack([rj, ri], 1).ravel(), np.full_like(dst, terminal)])
     bound = min(len(src), len(dst))
-    return src, dst, tail, head, bound if limit is None else min(limit, bound)
+    return tail, head, bound if limit is None else min(limit, bound)
 
 
 def _csr_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None):
@@ -371,7 +372,7 @@ def _csr_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
     the levels, a backward sweep keeps the level-graph arcs, and the DFS
     walks the kept arcs in CSR order."""
     n = graph.n_nodes
-    _, _, tail, head, limit = _flow_arcs(graph, terminal, limit)
+    tail, head, limit = _flow_arcs(graph, terminal, limit)
     # Arc 2k is tail[k] -> head[k] with capacity 1; arc 2k + 1 is its partner.
     frm = np.stack([tail, head], 1).ravel()
     to = np.stack([head, tail], 1).ravel()
@@ -385,7 +386,7 @@ def _csr_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
     start = np.searchsorted(frm_p, np.arange(n + 1))
 
     flow = 0
-    spent = [arc[:0]]  # per phase, the arcs spent, in augmentation order
+    hops = [to[:0]]  # per phase, the heads of the arcs spent, in augmentation order
     ends = []
     while True:
         # layers[d] holds the positions of the residual arcs out of the nodes
@@ -407,7 +408,7 @@ def _csr_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
                 break
             frontier = np.flatnonzero(level == len(layers))
         if level[terminal] < 0 or flow >= limit:
-            return Flow(terminal, flow, level, to, cap, np.concatenate(spent), tuple(ends))
+            return Flow(terminal, flow, level, np.concatenate(hops), tuple(ends))
         # Backward sweep: reach[v] is v's level once v is known to reach the
         # terminal, else -1.
         reach = np.full(n, -1, np.int32)
@@ -442,15 +443,10 @@ def _csr_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
             else:
                 path.append(it[u])
                 u = heads[it[u]]
-        spent.append(arc[keep[used]])
-        cap[spent[-1]] = False
-        cap[spent[-1] ^ 1] = True
-
-
-# Arc id offset, from the pair's base 2 * (S + 2r), of the slot-th live arc
-# from relay u to relay v: row [u > v]. From i (u < v) the live arcs to j are
-# b (i->j) then b + 3 (partner of j->i); from j they are b + 1 then b + 2.
-_PAIR_SLOT = np.array([[0, 3], [1, 2]])
+        spent = arc[keep[used]]
+        cap[spent] = False
+        cap[spent ^ 1] = True
+        hops.append(to[spent])
 
 
 def _bitset_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None):
@@ -461,20 +457,20 @@ def _bitset_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = No
     frontier of Beamer, Asanovic & Patterson, SC 2012); the backward sweep
     keeps the level-d nodes whose row meets reach[d + 1]; the DFS at u walks
     res[u] & reach[level(u) + 1] in ascending node order, which is the arc
-    order of the CSR scan. Only a relay pair has parallel arcs: i -> j is b
-    and b + 3, j -> i is b + 1 and b + 2, live as the pair's two forward
-    arcs carry flow. An arc is spent at most once in a phase and none of a
-    node's up-level arcs changes before the node is visited, so the DFS
-    takes a node's candidates as its row stands at the first visit. Spends
-    are (tail, head, slot) triples, mapped to arc ids once at the end.
+    order of the CSR scan. Only a relay pair has parallel arcs: relay u has
+    1 - net[u, v] live arcs to relay v, net[u, v] being the flow on u -> v
+    less the flow on v -> u, so two while v -> u carries a unit. A hop
+    u -> v cancels that unit if there is one and carries a unit on u -> v
+    otherwise, as in Flow.paths. An arc is spent at most once in a phase and
+    none of a node's up-level arcs changes before the node is visited, so
+    the DFS takes a node's candidates as its row stands at the first visit.
     """
     n = graph.n_nodes
-    src, dst, tail, head, limit = _flow_arcs(graph, terminal, limit)
+    tail, head, limit = _flow_arcs(graph, terminal, limit)
     res = _bit_rows(n, tail, head)
     width = (n + 7) // 8
-    carried = {}  # u * n + v for relays u < v -> bit 0: arc b, bit 1: arc b + 2 carries flow
-    spends = []   # (tail, head, slot) in augmentation order
-    phase_ends = []
+    carried = set()  # the arcs u -> v that carry a unit
+    hops = []
     ends = []
     flow = 0
     while True:
@@ -509,25 +505,15 @@ def _bitset_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = No
             u = path[-1]
             if u == terminal:
                 for a, b in zip(path, path[1:]):
-                    slot, more = 0, False
-                    if a and b != terminal:
-                        key = a * n + b if a < b else b * n + a
-                        s = carried.get(key, 0)
-                        if a < b:
-                            slot = s & 1
-                            s ^= 2 if slot else 1
-                            more = s & 2
-                        else:
-                            slot = 1 - (s & 1)
-                            s ^= 2 if slot else 1
-                            more = not s & 2
-                        carried[key] = s
-                    spends.append((a, b, slot))
                     res[b] |= 1 << a
-                    if not more:  # a's last live arc to b: pass b
+                    if (b, a) in carried:  # a keeps its own arc to b
+                        carried.remove((b, a))
+                    else:  # a's last live arc to b: pass b
+                        carried.add((a, b))
                         res[a] ^= 1 << b
                         cur[a] &= cur[a] - 1
-                ends.append(len(spends))
+                hops += path[1:]
+                ends.append(len(hops))
                 flow += 1
                 path = [0]
                 continue
@@ -538,29 +524,11 @@ def _bitset_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = No
                 reach[len(path) - 1] ^= 1 << path.pop()
             else:
                 break
-        phase_ends.append(len(spends))
 
     level = np.full(n, -1, np.int32)
     for d, nodes in enumerate(levels):
         level[nodes] = d
-    u, v, slot = np.array(spends, np.int64).reshape(-1, 3).T
-    spent = np.empty(len(spends), np.int64)
-    from_s, to_t = u == 0, v == terminal
-    relay = ~(from_s | to_t)
-    spent[from_s] = 2 * np.searchsorted(src, v[from_s])
-    spent[to_t] = len(tail) * 2 - 2 * len(dst) + 2 * np.searchsorted(dst, u[to_t])
-    # Relay pair r's first forward arc, i -> j, is arc 2 * (len(src) + 2r).
-    pairs = slice(len(src), len(tail) - len(dst), 2)
-    u, v, slot = u[relay], v[relay], slot[relay]
-    row = np.searchsorted(tail[pairs].astype(np.int64) * n + head[pairs],
-                          np.minimum(u, v) * n + np.maximum(u, v))
-    spent[relay] = 2 * (len(src) + 2 * row) + _PAIR_SLOT[(u > v).astype(np.intp), slot]
-    cap = np.tile(np.array([True, False]), len(head))
-    for lo, hi in zip([0, *phase_ends], phase_ends):
-        cap[spent[lo:hi]] = False
-        cap[spent[lo:hi] ^ 1] = True
-    to = np.stack([head, tail], 1).ravel()
-    return Flow(terminal, flow, level, to, cap, spent, tuple(ends))
+    return Flow(terminal, flow, level, np.array(hops, np.int32), tuple(ends))
 
 
 def _bit_rows(n: int, tail: np.ndarray, head: np.ndarray) -> list[int]:
@@ -661,6 +629,9 @@ def graph_from_json(obj: dict) -> ConnectivityGraph:
         n_relays = obj["n_relays"]
         if not isinstance(n_relays, int) or isinstance(n_relays, bool):
             raise ValueError(f"n_relays must be an integer, not {n_relays!r}")
+        seed = obj.get("seed")
+        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+            raise ValueError(f"seed must be an integer or null, not {seed!r}")
         terminals = obj["terminals"]
         first_t = 1 + n_relays
         if not terminals or terminals != list(range(first_t, first_t + len(terminals))):
@@ -668,7 +639,7 @@ def graph_from_json(obj: dict) -> ConnectivityGraph:
         model = None if obj.get("model") is None else ConnectionModel.from_json(obj["model"])
         return from_edges(
             n_relays, len(terminals), obj["edges"], positions=obj.get("positions") or None,
-            model=model, seed=obj.get("seed"),
+            model=model, seed=seed,
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph document: {exc!r}") from exc

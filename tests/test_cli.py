@@ -3,6 +3,8 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qrggsim.cli import main
 
@@ -79,6 +81,9 @@ class TestExitCodes:
             # This loaded too: range checks alone let booleans through.
             {"n_relays": 1, "terminals": [2], "edges": [[0, 1], [1, 2]],
              "model": {"r": True, "r_prime": True, "kernel": "fixed", "p": True}},
+            # This loaded, and graph_to_json wrote the seed back.
+            {"n_relays": 1, "terminals": [2], "edges": [[0, 1], [1, 2]], "seed": "x"},
+            {"n_relays": 1, "terminals": [2], "edges": [[0, 1], [1, 2]], "seed": True},
         ]:
             bad.write_text(json.dumps(doc))
             code, _, err = run_cli(capsys, "capacity", "--graph", str(bad))
@@ -384,11 +389,14 @@ class TestExport:
 
 class TestVersion:
     def test_version_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--version"])
-        assert exc.value.code == 0
-        out, _ = capsys.readouterr().out, None
+        code, out, _ = run_cli(capsys, "--version")
+        assert code == 0
         assert out.strip() == "0.1.0"
+        # Help prints, then returns its code like every other command.
+        for argv, usage in [(["--help"], "usage: qrggsim "), (["-h"], "usage: qrggsim "),
+                            (["experiment", "-h"], "usage: qrggsim experiment ")]:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and out.startswith(usage), argv
 
 
 OUTPUT_PIN = "1440d54e888a0dcc5cd8126ff900f3507431c35f5b1447372748a2b4f21df892"
@@ -427,3 +435,119 @@ class TestOutputPin:
             for path in files:
                 digest.update(path.read_bytes())
         assert digest.hexdigest() == OUTPUT_PIN
+
+
+# Hostile inputs: argv and input documents drawn at random. Sizes stay small
+# (--n <= 60, --trials <= 3) so that an example runs in about a second at
+# most, and --jobs is never above 1, so no process pool starts. A value
+# "@name" stands for the path tmp_path / name.
+GARBAGE = st.sampled_from(["", "x", "-", "1.5", "1e3", "nan", "inf", "-0", "0x10"])
+SMALL_INT = st.integers(-2, 60).map(str) | GARBAGE
+FEW = st.integers(-1, 3).map(str) | GARBAGE
+UNIT = st.sampled_from(["0", "0.05", "0.1", "0.2", "0.35", "1", "1.5", "-0.1", "1e-300"])
+REAL = UNIT | GARBAGE | st.floats(-0.5, 2).map(repr)
+PATH = st.sampled_from(["@graph.json", "@result.json", "@missing.json", "@", "@nodir/x.json",
+                        "@out.json", "@out.csv", "@out.svg"])
+LIST = st.lists(UNIT | st.integers(-1, 60).map(str), max_size=3).map(",".join) | GARBAGE
+FLAGS = {
+    "--n": SMALL_INT, "--terminals": st.integers(-1, 4).map(str) | GARBAGE,
+    "--r": REAL, "--r-prime": REAL, "--p": REAL, "--p-connection": REAL,
+    "--kernel": st.sampled_from(["fixed", "linear-decay", "bogus"]),
+    "--seed": st.integers(-3, 2**70).map(str) | GARBAGE,
+    "--trials": FEW, "--k": SMALL_INT, "--bins": st.integers(-2, 12).map(str) | GARBAGE,
+    "--preset": st.sampled_from(["fig3", "fig4", "fig9"]),
+    "--audit": st.sampled_from(["0.3", "0.3,0.5", ",", "2", "-1", "nan"]) | GARBAGE,
+    "--jobs": st.sampled_from(["1", "0", "-3", "1.5"]),
+    "--n-list": st.lists(st.integers(-1, 60).map(str), max_size=3).map(",".join) | GARBAGE,
+    "--r-list": LIST, "--r-prime-list": LIST, "--r-prime-factor": REAL,
+    "--graph": PATH, "--result": PATH, "--out": PATH, "--csv": PATH, "--hist-csv": PATH,
+    "--svg": PATH, "--rlnc-check": st.just(None), "--bogus": st.just(None),
+    "-h": st.just(None), "--version": st.just(None),
+}
+# A valid argv per command, which the drawn flags then amend or override.
+COMMANDS = {
+    "generate": ["--n", "30", *FIG3_FLAGS, "--seed", "1", "--out", "@out.json"],
+    "capacity": ["--graph", "@graph.json"],
+    "bounds": ["--n", "40", *FIG3_FLAGS],
+    "experiment": ["--preset", "fig3", "--n", "40", "--trials", "2", "--seed", "1"],
+    "sweep": ["--n-list", "30", "--r-list", "0.2", "--trials", "2", "--seed", "1"],
+    "verify-rlnc": ["--graph", "@graph.json", "--trials", "2", "--seed", "1"],
+    "export": ["--result", "@result.json", "--svg", "@out.svg"],
+    "frobnicate": [],
+}
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    argv = []
+    if draw(st.integers(0, 9)):
+        command = draw(st.sampled_from(sorted(COMMANDS)))
+        argv = [command, *(COMMANDS[command] if draw(st.booleans()) else [])]
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS)), max_size=10)):
+        argv.append(flag)
+        value = draw(FLAGS[flag])
+        if value is not None and draw(st.integers(0, 19)):  # now and then, none
+            argv.append(value)
+    return argv
+
+
+@st.composite
+def documents(draw, valid):
+    """A valid document with some fields deleted or replaced by arbitrary
+    JSON, or arbitrary JSON, or text that is not JSON."""
+    doc = draw(valid)
+    for key in draw(st.sets(st.sampled_from(sorted(doc)), max_size=3)):
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(JSON)
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.text(max_size=12))
+    return json.dumps(draw(JSON) if kind == 1 else doc)
+
+
+@st.composite
+def graph_documents(draw):
+    n_relays = draw(st.integers(0, 8))
+    nodes = 1 + n_relays + draw(st.integers(1, 3))
+    pair = st.lists(st.integers(-1, nodes), min_size=2, max_size=2)
+    return {
+        "n_relays": n_relays,
+        "terminals": list(range(1 + n_relays, nodes)),
+        "positions": draw(st.lists(st.lists(st.floats(0, 1), min_size=2, max_size=2),
+                                   min_size=nodes, max_size=nodes)),
+        "edges": draw(st.lists(pair, max_size=24)),
+        "model": {"r": 0.1, "r_prime": 0.2, "kernel": "fixed", "p": 0.5},
+        "seed": draw(st.none() | st.integers(0, 9)),
+    }
+
+
+@st.composite
+def result_documents(draw):
+    counts = draw(st.lists(st.integers(0, 9), max_size=6))
+    return {
+        "per_trial_capacity": draw(st.lists(st.integers(0, 20), max_size=8)),
+        "histogram": {"bin_edges": [float(k) for k in range(len(counts) + 1)],
+                      "counts": counts},
+    }
+
+
+class TestHostileInputs:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cli_argvs(), documents(graph_documents()), documents(result_documents()),
+           st.none() | st.sampled_from(["5", "x", "-1"]))
+    def test_main_returns_a_documented_code(self, capsys, tmp_path, argv, graph_text,
+                                            result_text, env_seed):
+        (tmp_path / "graph.json").write_text(graph_text)
+        (tmp_path / "result.json").write_text(result_text)
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        code, _, _ = run_cli(capsys, *argv, env_seed=env_seed)
+        assert code in (0, 1, 2, 3)

@@ -32,7 +32,7 @@ from qrggsim.model import kernel_probability
 
 FIG3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
 FLOW_PIN = "8d16df39d7082cd8b5782647f5ce4251a1a6ff6f2fd444cd36f8db8ff4e2915e"
-SCALE_FLOW_PIN = "50d18f408224bb4996b401f7b4e616f74c1a27859e5b934ec4502d311b140941"
+SCALE_FLOW_PIN = "7007776541eb1ed674ec818a6500b2ad372b3a1c258a9d34bc090ce4fa8819f9"
 ORACLE_PIN = "b818323739b493d439c50c78fcf16dabcc94f933b513e9acca4c9de61b3878f6"
 
 
@@ -523,8 +523,8 @@ class TestFlowPin:
         assert _flow_record(graphs) == FLOW_PIN
 
     def test_flow_at_scale_is_pinned(self):
-        # Large graphs take several Dinic phases, so this pins the phase-by-
-        # phase residual network, not only the few phases an n=200 flow has.
+        # Large graphs take several Dinic phases, so this pins every phase's
+        # augmenting paths, not only the few phases an n=200 flow has.
         graphs = [
             build_connectivity_graph(n, tau, FIG3, RandomStream.from_seed(seed))
             for n, tau, seed in [(1000, 2, 41), (1000, 1, 42), (2000, 1, 43)]
@@ -535,7 +535,7 @@ class TestFlowPin:
                 full = _max_flow(g, t)
                 for flow in (full, _max_flow(g, t, full.value // 2)):
                     records.append([int(flow.value), np.asarray(flow.level, int).tolist(),
-                                    np.asarray(flow.cap, int).tolist()])
+                                    np.asarray(flow.hops, int).tolist(), list(flow.ends)])
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == SCALE_FLOW_PIN
 
@@ -573,7 +573,8 @@ class TestFlowReplay:
         g = from_edges(14, 1, edges)
         flow = min_cut(g, 15).flow
         assert flow.ends == (3, 10, 18)
-        assert np.bincount(flow.spent >> 1).max() == 2
+        # Edge 1-2 is crossed both ways.
+        assert flow.hops.tolist() == [1, 2, 15, 3, 4, 2, 1, 5, 6, 15, *range(8, 16)]
         assert flow.paths(1) == [[0, 1, 2, 15]]
         assert flow.paths(2) == [[0, 1, 5, 6, 15], [0, 3, 4, 2, 15]]
         for limit in range(5):
@@ -627,7 +628,7 @@ class TestScipyOracle:
 def assert_same_flow(a, b):
     """Field-for-field equality of two Flows, dtypes included."""
     assert (a.terminal, a.value, a.ends) == (b.terminal, b.value, b.ends)
-    for name in ("level", "to", "cap", "spent"):
+    for name in ("level", "hops"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
 
@@ -689,22 +690,33 @@ class TestFlowEngines:
         assert chosen == ["_bitset_flow", "_bitset_flow", "_csr_flow", "_csr_flow",
                           "_csr_flow", "_bitset_flow"]
 
-    def test_lower_endpoint_takes_its_forward_arc_first(self):
+    def test_cancellation_from_the_upper_endpoint(self):
         # The mirror of test_replay_across_a_cancelled_arc: phase 1 routes
-        # s-2-1-t over arc b + 2 (2 -> 1) of pair (1, 2); phase 2 reaches 1 by
-        # s-3-4-1 and leaves it for 2, when both of 1's arcs to 2 are live.
-        # Node 1 must take b (1 -> 2) before b + 3, so both forward arcs of
-        # the pair end up carrying flow.
+        # s-2-1-t, from the upper endpoint of edge 1-2; phase 2 reaches 1 by
+        # s-3-4-1 and crosses 1-2 back to 2, cancelling that flow. Both
+        # engines must record these hops, and two replayed paths leave 1-2
+        # without flow.
         edges = [(0, 2), (1, 2), (1, 15), (0, 3), (3, 4), (1, 4), (2, 5), (5, 6), (6, 15),
                  (0, 8), *[(k, k + 1) for k in range(8, 14)], (14, 15)]
         g = from_edges(14, 1, edges)
-        b = 2 * 3  # three source edges, and (1, 2) is relay-relay row 0
         for flow in (_csr_flow(g, 15), _bitset_flow(g, 15), min_cut(g, 15).flow):
             assert flow.ends == (3, 10, 18)
-            assert flow.spent.tolist() == [0, 8, 50, 2, 18, 12, 6, 14, 22, 52, 4, 26, 30, 34,
-                                           38, 42, 46, 54]
-            assert flow.cap[b:b + 4].tolist() == [False, True, False, True]
+            assert flow.hops.tolist() == [2, 1, 15, 3, 4, 1, 2, 5, 6, 15, *range(8, 16)]
             assert flow.paths(2) == [[0, 2, 5, 6, 15], [0, 3, 4, 1, 15]]
+
+    def test_a_cancelling_hop_leaves_the_other_arc_live(self):
+        # Phase 1 routes s-1-2-t, so relay 2 has two live arcs to 1; phase 2
+        # routes s-3-2-1-4-t and spends one of them. The other stays live, so
+        # the final residual network reaches 1 by s-5-2-1 and the source side
+        # of the cut holds it.
+        g = from_edges(5, 1, [(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (2, 5), (2, 6),
+                              (4, 6)])
+        for flow in (_csr_flow(g, 6), _bitset_flow(g, 6)):
+            assert flow.hops.tolist() == [1, 2, 6, 3, 2, 1, 4, 6]
+            assert flow.level.tolist() == [0, 3, 2, 3, -1, 1, -1]
+        cut = min_cut(g, 6)
+        assert cut.partition_vk == (1, 2, 3, 5)
+        assert cut_capacity(g, 6, cut.partition_vk) == cut.capacity == 2
 
 
 @st.composite
@@ -723,7 +735,18 @@ def small_graphs(draw):
 @given(small_graphs(), st.none() | st.integers(0, 6))
 def test_engines_agree_with_the_exhaustive_oracle(case, limit):
     g, t = case
-    assert_same_flow(_csr_flow(g, t, limit), _bitset_flow(g, t, limit))
+    flow = _csr_flow(g, t, limit)
+    assert_same_flow(flow, _bitset_flow(g, t, limit))
+    # The hops are s-t paths of the graph itself, shortest first, as Dinic
+    # finds them: a check against the graph, not against the other engine.
+    edges = set(g.edge_list())
+    lengths = np.diff((0, *flow.ends)).tolist()
+    assert len(lengths) == flow.value and sum(lengths) == len(flow.hops)
+    assert lengths == sorted(lengths)
+    for a, b in zip((0, *flow.ends), flow.ends):
+        path = [0, *flow.hops[a:b].tolist()]
+        assert path[-1] == t
+        assert all((min(u, v), max(u, v)) in edges for u, v in zip(path, path[1:]))
     cut = min_cut(g, t)
     assert cut.capacity == brute_force_min_cut(g, t).capacity
     assert cut_capacity(g, t, cut.partition_vk) == cut.capacity
