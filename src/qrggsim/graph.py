@@ -19,18 +19,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ConnectionModel, kernel_probability, sample_points
+from .model import KERNEL_FIXED, ConnectionModel, kernel_probability, sample_points
 from .rng import RandomStream
 
 BRUTE_FORCE_MAX_RELAYS = 20
 # Candidate pairs the near-pair search screens per numpy pass; bounds its
 # temporaries.
 NEAR_PAIR_CHUNK = 1 << 16
-# The near-pair screen compares dx*dx + dy*dy with radius**2 and calls
-# np.hypot only inside this relative band around it. The squares, their sum,
-# radius**2 and np.hypot (1 ulp) each err by a few units of 2**-53, far
-# inside 2**-40; the absolute floor covers squares that underflow (each
-# loses under 2**-1074).
+# The near-pair screen compares dx*dx + dy*dy with radius**2, for r' and for
+# r, and calls np.hypot only inside this relative band around it. The
+# squares, their sum, radius**2 and np.hypot (1 ulp) each err by a few units
+# of 2**-53, far inside 2**-40; the absolute floor covers squares that
+# underflow (each loses under 2**-1074).
 SCREEN_MARGIN = 2.0**-40
 SCREEN_FLOOR = 2.0**-1068
 
@@ -128,7 +128,10 @@ def build_connectivity_graph(
     outright and deterministic pairs (probability 0 or 1) consume no draw, so
     stream positions are stable across parameter changes. Pairs beyond r'
     have probability 0, so only the pairs within r' are listed at all: the
-    build costs O(N + pairs within r'), not O(N^2).
+    build costs O(N + pairs within r'), not O(N^2). The search marks each
+    pair as within r or in the annulus; pairs within r connect without a
+    draw or a distance, and only annulus pairs reach the kernel, which under
+    the fixed kernel is the constant p and needs no distance either.
     """
     if n_relays < 1 or n_terminals < 1:
         raise ValueError("need at least one relay and one terminal")
@@ -136,22 +139,30 @@ def build_connectivity_graph(
     positions = sample_points(n_total, rng.child("positions"))
     edge_rng = rng.child("edges")
 
-    keys = _near_pairs(positions, model.r_prime)
+    # Keys ((i << shift) | j) << 1 | annulus, sorted.
+    keys = _near_pairs(positions, model.r_prime, model.r)
     shift = _key_shift(n_total)
     # The sorted keys hold the source-terminal pairs (0, j >= first_t) as one
     # run and the terminal-terminal pairs (i >= first_t) as the last run.
     first_t = 1 + n_relays
-    st_lo, st_hi, tt_lo = np.searchsorted(keys, [first_t, 1 << shift, first_t << shift])
+    cuts = np.array([first_t, 1 << shift, first_t << shift]) << 1
+    st_lo, st_hi, tt_lo = np.searchsorted(keys, cuts)
     keys = np.concatenate([keys[:st_lo], keys[st_hi:tt_lo]])
 
-    probs = kernel_probability(_pair_distances(positions, keys, shift), model)
-    accept = probs >= 1.0
-    stochastic = np.flatnonzero((probs > 0.0) & (probs < 1.0))
-    accept[stochastic] = edge_rng.random(len(stochastic)) < probs[stochastic]
+    accept = (keys & 1) == 0
+    annulus = np.flatnonzero(~accept)
+    if model.kernel == KERNEL_FIXED:
+        probs = np.broadcast_to(model.p, annulus.shape)
+    else:
+        probs = kernel_probability(_pair_distances(positions, keys[annulus] >> 1, shift), model)
+    accept[annulus] = probs >= 1.0
+    draw = (probs > 0.0) & (probs < 1.0)
+    accept[annulus[draw]] = edge_rng.random(np.count_nonzero(draw)) < probs[draw]
 
     keys = keys[accept]
     edges = np.empty((len(keys), 2), dtype=np.int64)
-    np.right_shift(keys, shift, out=edges[:, 0])
+    np.right_shift(keys, shift + 1, out=edges[:, 0])
+    keys >>= 1
     np.bitwise_and(keys, (1 << shift) - 1, out=edges[:, 1])
     return ConnectivityGraph(
         n_relays, n_terminals, edges, positions, model, int(rng.master_seed)
@@ -173,9 +184,11 @@ def _pair_distances(positions: np.ndarray, keys: np.ndarray, shift: int) -> np.n
     return np.hypot(dx, dy, out=dx)
 
 
-def _near_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
+def _near_pairs(positions: np.ndarray, radius: float, inner: float | None = None) -> np.ndarray:
     """All pairs (i < j) at np.hypot distance <= radius, as sorted int64 keys
-    (i << shift) | j with shift = _key_shift(N).
+    (i << shift) | j with shift = _key_shift(N). Given an inner radius, each
+    key also carries the pair's class as its low bit: the key is
+    ((i << shift) | j) << 1 | annulus, annulus being np.hypot distance > inner.
 
     A fixed-radius near-neighbour search over vertical strips (Bentley,
     Stanat & Williams, 1977). The strips have width > radius / 2, with a
@@ -184,8 +197,9 @@ def _near_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
     keeps radius 0 and tiny radii O(N). With the nodes sorted by (strip, y),
     each node meets the nodes after it in its own strip and the nodes of the
     next two strips within y +- radius, so each candidate pair is met once.
-    A candidate's squared distance settles it unless it lies within
-    SCREEN_MARGIN of radius**2; only those few take np.hypot.
+    A candidate's squared distance settles both radii (_beyond); only the few
+    within SCREEN_MARGIN of a radius squared take np.hypot. The class bit
+    rides through the one sort, so it needs no argsort.
     """
     n = len(positions)
     if n < 2:
@@ -207,9 +221,6 @@ def _near_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
     first = first.ravel()
     count = bounds[:, 0::2].ravel() - first
     total = np.cumsum(count)
-    r2 = radius * radius
-    inside = r2 * (1 - SCREEN_MARGIN) - SCREEN_FLOOR
-    beyond = r2 * (1 + SCREEN_MARGIN) + SCREEN_FLOOR
     shift = _key_shift(n)
     keys = [np.empty(0, dtype=np.int64)]
     # Chunks of whole ranges, each from the range holding candidate k * CHUNK.
@@ -227,18 +238,35 @@ def _near_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
         dx *= dx
         dy *= dy
         dx += dy
-        near = dx <= inside
-        doubt = np.flatnonzero(near != (dx <= beyond))
-        if doubt.size:
-            # hypot is even in each argument: these are the bits the
-            # build's distance for (i, j) has.
-            near[doubt] = np.hypot(x[a[doubt]] - x[b[doubt]], y[a[doubt]] - y[b[doubt]]) <= radius
-        i, j = order[a[near]], order[b[near]]
+        near = ~_beyond(dx, radius, x, y, a, b)
+        a, b = a[near], b[near]
+        i, j = order[a], order[b]
         key_ij = np.minimum(i, j)
         key_ij <<= shift
         key_ij |= np.maximum(i, j, out=j)
+        if inner is not None:
+            key_ij <<= 1
+            key_ij |= _beyond(dx[near], inner, x, y, a, b)
         keys.append(key_ij)
     return np.sort(np.concatenate(keys))
+
+
+def _beyond(s: np.ndarray, radius: float, x, y, a, b) -> np.ndarray:
+    """np.hypot(x[a] - x[b], y[a] - y[b]) > radius for the pairs (a, b),
+    whose squared distances are s.
+
+    s settles a pair unless it lies within SCREEN_MARGIN of radius**2; only
+    those few take np.hypot. hypot is even in each argument, so these are
+    the bits the build's distance for the pair has, whichever node comes
+    first.
+    """
+    r2 = radius * radius
+    out = s > r2 * (1 + SCREEN_MARGIN) + SCREEN_FLOOR
+    doubt = np.flatnonzero(out != (s > r2 * (1 - SCREEN_MARGIN) - SCREEN_FLOOR))
+    if doubt.size:
+        a, b = a[doubt], b[doubt]
+        out[doubt] = np.hypot(x[a] - x[b], y[a] - y[b]) > radius
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,8 +380,8 @@ def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
 
 
 def _flow_arcs(graph: ConnectivityGraph, terminal: int, limit: int | None):
-    """The arcs both engines share: forward arc 2k runs tail[k] -> head[k],
-    as int32 arrays; plus the limit, capped at min(deg s, deg t)."""
+    """_csr_flow's arcs: forward arc 2k runs tail[k] -> head[k], as int32
+    arrays; plus the limit, capped at min(deg s, deg t)."""
     e = graph.edges.astype(np.int32)
     i, j = e[:, 0], e[:, 1]
     src = j[i == 0]
@@ -464,10 +492,15 @@ def _bitset_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = No
     otherwise, as in Flow.paths. An arc is spent at most once in a phase and
     none of a node's up-level arcs changes before the node is visited, so
     the DFS takes a node's candidates as its row stands at the first visit.
+
+    The rows come straight from the edges (_residual_rows), with no arc
+    arrays; the limit is capped at min(deg s, deg t), the bits of row 0 and
+    the relays adjacent to the terminal.
     """
     n = graph.n_nodes
-    tail, head, limit = _flow_arcs(graph, terminal, limit)
-    res = _bit_rows(n, tail, head)
+    res = _residual_rows(graph, terminal)
+    bound = min(res[0].bit_count(), int(np.count_nonzero(graph.edges[:, 1] == terminal)))
+    limit = bound if limit is None else min(limit, bound)
     width = (n + 7) // 8
     carried = set()  # the arcs u -> v that carry a unit
     hops = []
@@ -531,24 +564,44 @@ def _bitset_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = No
     return Flow(terminal, flow, level, np.array(hops, np.int32), tuple(ends))
 
 
-def _bit_rows(n: int, tail: np.ndarray, head: np.ndarray) -> list[int]:
-    """Row u as a Python int with bit v set iff some arc u -> v is listed.
+def _residual_rows(graph: ConnectivityGraph, terminal: int) -> list[int]:
+    """The residual rows of the flow network to `terminal` before any flow:
+    row u as a Python int with bit v set iff there is an arc u -> v.
 
-    Rows are packed a block at a time, each block a dense bool array of at
-    most about 16 bytes per listed arc: no more than the int64 CSR order
-    that _csr_flow sorts the arcs into."""
+    Packed straight from the edge rows (i, j): bits i -> j and j -> i for
+    every edge, less the arcs no flow may use, which are those into the
+    source, out of a terminal and into another terminal. What is left is a
+    forward bit for every edge but those to other terminals, and a reverse
+    bit for relay-relay edges only.
+
+    The packing takes at most about 16 bytes per edge bit: it packs all n
+    rows at once when their n * n bools fit in that (the views of the edge
+    columns index them, with no temporary), else blocks of 7 bytes per edge
+    bit, which leaves room for the ids of the edges each block takes.
+    """
+    n = graph.n_nodes
     width = (n + 7) // 8
-    block = max(1, 16 * len(tail) // n)
+    i, j = graph.edges.T
+    block = n if n * n <= 32 * len(i) else max(1, 14 * len(i) // n)
     rows = []
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         dense = np.zeros((hi - lo, n), bool)
-        if lo == 0 and hi == n:
-            dense[tail, head] = True
+        if block == n:
+            dense[i, j] = True
+            dense[j, i] = True
         else:
-            inside = (tail >= lo) & (tail < hi)
-            dense[tail[inside] - lo, head[inside]] = True
-        data = np.packbits(dense, axis=1, bitorder="little").tobytes()
+            a, b = np.searchsorted(i, [lo, hi])
+            dense[i[a:b] - lo, j[a:b]] = True
+            # The edges into rows lo..hi - 1 all have i < hi.
+            back = np.flatnonzero((j[:b] >= lo) & (j[:b] < hi))
+            row = j[back]
+            row -= lo
+            dense[row, i[back]] = True
+        dense[:, 0] = False
+        dense[max(1 + graph.n_relays - lo, 0):] = False
+        dense[:, [t for t in graph.terminal_ids if t != terminal]] = False
+        data = memoryview(np.packbits(dense, axis=1, bitorder="little").ravel())
         rows += [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
     return rows
 

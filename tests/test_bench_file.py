@@ -59,3 +59,50 @@ def test_main_rejects_traced_records(bench_file, tmp_path):
     path.write_text(json.dumps(run_record(1, 10.0, trace=1)))
     with pytest.raises(SystemExit):
         bench_file.main([str(path), "--label", "t", "--out", str(tmp_path / "o.json")])
+
+
+def test_parent_src_alternates_the_trees_and_keeps_both_medians(bench_file, tmp_path,
+                                                                monkeypatch):
+    monkeypatch.setattr(bench_file, "STAGES", {"30": (30, 2, bench_file.FIG3)})
+    monkeypatch.setattr(bench_file, "STAGE_ROUNDS", 4)
+    calls = []
+
+    def fake_child(src, n, count, fields):
+        calls.append(src.name)
+        # The parent's graphs take 4 and 6 ms to build in every round; the
+        # change's 2 and 3 ms, except in round 3, where it is slower.
+        slow = src.name == "parent" or calls.count("change") == 3
+        scale = 2e-3 if slow else 1e-3
+        return {"build": [2 * scale, 3 * scale], "min_cut": [scale, scale],
+                "mean_degree": 5.0}
+
+    monkeypatch.setattr(bench_file, "time_in_child", fake_child)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(run_record(1, 10.0)))
+    out = tmp_path / "BENCH_t.json"
+    assert bench_file.main([str(path), "--label", "t", "--out", str(out),
+                            "--src", str(tmp_path / "change"),
+                            "--parent-src", str(tmp_path / "parent")]) == 0
+    assert calls == ["parent", "change", "change", "parent"] * 2
+    row = json.loads(out.read_text())["stages"]["medians"]["30"]
+    assert row["rounds"] == 4
+    assert row["parent_build_ms"] == pytest.approx(5.0)
+    assert row["build_ms"] == pytest.approx(3.0)  # of 2, 3 (three rounds) and 4, 6
+    assert row["build_ratio"] == pytest.approx(0.5)  # of 0.5 (three rounds) and 1
+    assert (row["build_faster_rounds"], row["min_cut_faster_rounds"]) == (3, 3)
+    assert row["mean_degree"] == row["parent_mean_degree"] == 5.0
+
+
+def test_parent_src_times_each_tree_in_its_own_process(bench_file, tmp_path, monkeypatch):
+    # The same tree on both sides, timed for real: the subprocesses import it
+    # and both rows of medians come back.
+    monkeypatch.setattr(bench_file, "STAGES", {"30": (30, 2, bench_file.FIG3)})
+    monkeypatch.setattr(bench_file, "STAGE_ROUNDS", 2)
+    src = TOOL.parent.parent / "src"
+    stages = bench_file.stage_medians(src, src)
+    row = stages["medians"]["30"]
+    assert row["rounds"] == 2 and row["mean_degree"] == row["parent_mean_degree"]
+    for stage in ("build", "min_cut"):
+        assert row[f"{stage}_ms"] > 0 and row[f"parent_{stage}_ms"] > 0
+        assert row[f"{stage}_ratio"] > 0
+        assert 0 <= row[f"{stage}_faster_rounds"] <= 2

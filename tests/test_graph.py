@@ -27,7 +27,14 @@ from qrggsim import (
     wheatstone_graph,
 )
 from qrggsim import graph as graph_module
-from qrggsim.graph import _bitset_flow, _csr_flow, _key_shift, _max_flow, _near_pairs
+from qrggsim.graph import (
+    _bitset_flow,
+    _csr_flow,
+    _key_shift,
+    _max_flow,
+    _near_pairs,
+    _residual_rows,
+)
 from qrggsim.model import kernel_probability
 
 FIG3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
@@ -108,11 +115,20 @@ def _reference_build(g, model, seed):
     return np.stack([iu[accept], ju[accept]], 1)
 
 
+def _split_keys(keys, n):
+    shift = _key_shift(n)
+    return keys >> shift, keys & ((1 << shift) - 1)
+
+
 def _near_pair_ids(positions, radius):
     """_near_pairs' sorted keys split into (iu, ju) arrays."""
-    keys = _near_pairs(positions, radius)
-    shift = _key_shift(len(positions))
-    return keys >> shift, keys & ((1 << shift) - 1)
+    return _split_keys(_near_pairs(positions, radius), len(positions))
+
+
+def _near_pair_classes(positions, radius, inner):
+    """_near_pairs' keys with an inner radius split into (iu, ju, annulus)."""
+    keys = _near_pairs(positions, radius, inner)
+    return (*_split_keys(keys >> 1, len(positions)), (keys & 1).astype(bool))
 
 
 # Pairs about 0.2 apart on which sqrt(dx*dx + dy*dy) and np.hypot fall on
@@ -122,6 +138,14 @@ HYPOT_SPLIT = [
     ((0.4045785445665906, 0.33087978308736854), (0.5933706487334925, 0.2648681068154115)),
     ((0.6499478649078705, 0.4486574540636491), (0.6276636986903239, 0.6474121167410031)),
     ((0.6714184134021534, 0.6633277969688907), (0.48027995081303665, 0.7222012894682222)),
+]
+
+# The same about 0.1 apart: the first two are within 0.1 by the squared sum
+# only, the last by np.hypot only.
+INNER_SPLIT = [
+    ((0.7069560808841662, 0.42072844334691006), (0.8022583897235578, 0.3904386772553533)),
+    ((0.4876926510565173, 0.7751137998796229), (0.44666847535935866, 0.8663114808170714)),
+    ((0.23901055406205823, 0.3915518285711568), (0.1482326139866947, 0.34960703633572293)),
 ]
 
 # 49 points on the lines of a 7 x 7 grid of cells, which is the grid that
@@ -162,6 +186,43 @@ class TestNearPairs:
             assert (np.hypot(dx, dy) <= 0.2) == by_hypot
             assert (np.sqrt(dx * dx + dy * dy) <= 0.2) != by_hypot
 
+    def test_inner_split_pairs_straddle_the_inner_radius(self):
+        # The premise of the r = 0.1 case below.
+        for pair, by_hypot in zip(INNER_SPLIT, (False, False, True)):
+            dx, dy = np.subtract(*pair)
+            assert (np.hypot(dx, dy) <= 0.1) == by_hypot
+            assert (np.sqrt(dx * dx + dy * dy) <= 0.1) != by_hypot
+
+    @pytest.mark.parametrize("radius, inner, extra, annulus_pairs, inner_pairs", [
+        # The squared sum and np.hypot disagree on these pairs at r = 0.1.
+        (0.2, 0.1, [p for pair in INNER_SPLIT for p in pair], {(55, 56), (57, 58)}, {(59, 60)}),
+        # Pairs at exactly r stay inside.
+        (0.3, 0.25, [], set(), {(49, 50), (51, 52), (53, 54), (0, 54)}),
+        # r == r': no kept pair is in the annulus.
+        (0.25, 0.25, [], set(), {(49, 50), (0, 54)}),
+        (0.2, 0.2, [p for pair in HYPOT_SPLIT for p in pair], set(), {(59, 60)}),
+        # r = 0: only coincident points are inside; (0, 0) is point 0 and point 53.
+        (0.25, 0.0, [(0.3, 0.3), (0.3, 0.3), (0.3, 0.3 + 2**-53)], {(55, 57), (49, 50)},
+         {(0, 53), (55, 56)}),
+        (0.0, 0.0, [(0.3, 0.3), (0.3, 0.3)], set(), {(0, 53), (55, 56)}),
+        # r**2 underflows to 0 and the squares of these gaps are subnormal.
+        (0.25, 1e-170, [(1e-160, 0.0), (0.0, 1e-170), (2e-170, 3e-170)],
+         {(0, 55), (0, 57), (53, 55)}, {(0, 53), (0, 56), (53, 56)}),
+        (1e-170, 1e-170, [(0.0, 1e-170), (1e-170, 1e-170)], set(), {(0, 55), (53, 55)}),
+    ])
+    def test_class_bit_is_hypot_beyond_inner(self, radius, inner, extra, annulus_pairs,
+                                             inner_pairs):
+        positions = np.array(LATTICE + AT_RADIUS + extra)
+        iu, ju, annulus = _near_pair_classes(positions, radius, inner)
+        ref_i, ref_j = _all_pairs_within(positions, radius)
+        np.testing.assert_array_equal(iu, ref_i)
+        np.testing.assert_array_equal(ju, ref_j)
+        d = np.hypot(*(positions[iu] - positions[ju]).T)
+        np.testing.assert_array_equal(annulus, d > inner)
+        marked = dict(zip(zip(iu.tolist(), ju.tolist()), annulus.tolist()))
+        assert all(marked[pair] for pair in annulus_pairs)
+        assert not any(marked[pair] for pair in inner_pairs)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_points_have_no_pairs(self, n):
         keys = _near_pairs(np.full((n, 2), 0.5), 0.2)
@@ -192,9 +253,10 @@ class TestNearPairs:
             g = build_connectivity_graph(n, n_terminals, model, RandomStream.from_seed(seed))
             np.testing.assert_array_equal(g.edges, _reference_build(g, model, seed))
 
-    def test_kernel_sees_only_pairs_within_r_prime(self, monkeypatch):
-        # A fallback to all pairs would give the same graph, so this counts
-        # the distances the kernel receives.
+    def test_kernel_sees_only_annulus_pairs(self, monkeypatch):
+        # A fallback to all pairs, or to every pair within r', would give the
+        # same graph, so this counts the distances the kernel receives:
+        # exactly the role-allowed pairs with r < hypot <= r'.
         seen = []
 
         def counting_kernel(d, model):
@@ -202,12 +264,35 @@ class TestNearPairs:
             return kernel_probability(d, model)
 
         monkeypatch.setattr(graph_module, "kernel_probability", counting_kernel)
-        g = build_connectivity_graph(2000, 1, FIG3, RandomStream.from_seed(8))
-        iu, ju = _all_pairs_within(g.positions, FIG3.r_prime)
+        model = ConnectionModel(0.1, 0.2, "linear_decay", 0.5)
+        g = build_connectivity_graph(2000, 1, model, RandomStream.from_seed(8))
+        iu, ju = np.triu_indices(g.n_nodes, k=1)
         first_t = 1 + g.n_relays
-        allowed = np.count_nonzero((ju < first_t) | ((iu > 0) & (iu < first_t)))
-        assert seen == [allowed]
-        assert 150_000 < allowed < 300_000  # of 2,003,001 pairs
+        allowed = (ju < first_t) | ((iu > 0) & (iu < first_t))
+        d = np.hypot(*(g.positions[iu[allowed]] - g.positions[ju[allowed]]).T)
+        annulus = np.count_nonzero((d > model.r) & (d <= model.r_prime))
+        assert seen == [annulus]
+        assert 100_000 < annulus < 250_000  # of 2,003,001 pairs
+
+    def test_fixed_kernel_builds_take_no_distances(self):
+        # The class bit and the constant p decide every pair: neither the
+        # kernel nor _pair_distances runs, and np.hypot sees only the
+        # screen's doubt bands.
+        calls, hypot_sizes = [], []
+        hypot = np.hypot
+
+        def counting_hypot(*args, **kwargs):
+            hypot_sizes.append(np.size(args[0]))
+            return hypot(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_module, "kernel_probability", lambda *a: calls.append("kernel"))
+            patch.setattr(graph_module, "_pair_distances", lambda *a: calls.append("distances"))
+            patch.setattr(np, "hypot", counting_hypot)
+            g = build_connectivity_graph(2000, 1, FIG3, RandomStream.from_seed(8))
+        assert calls == []
+        assert sum(hypot_sizes) < 10  # of about 210,000 kept pairs
+        np.testing.assert_array_equal(g.edges, _reference_build(g, FIG3, 8))
 
     def test_large_build_memory_is_bounded(self):
         # All pairs at n = 5000 would take about 550 MB; the edge array
@@ -717,6 +802,79 @@ class TestFlowEngines:
         cut = min_cut(g, 6)
         assert cut.partition_vk == (1, 2, 3, 5)
         assert cut_capacity(g, 6, cut.partition_vk) == cut.capacity == 2
+
+
+def _oracle_rows(graph, terminal):
+    """The residual rows before any flow, from Python sets of the edges:
+    source -> relay, relay <-> relay and relay -> terminal arcs."""
+    relays = set(graph.relay_ids)
+    arcs = set()
+    for i, j in graph.edge_list():
+        if i == 0 or j in relays or j == terminal:
+            arcs.add((i, j))
+        if i in relays and j in relays:
+            arcs.add((j, i))
+    rows = [0] * graph.n_nodes
+    for u, v in arcs:
+        rows[u] |= 1 << v
+    return rows
+
+
+def _random_edge_graph(seed, n_relays, n_terminals, density):
+    """Each role-allowed pair an edge with probability `density`, and relay
+    1 adjacent to the source and to every terminal."""
+    rng = np.random.default_rng(seed)
+    first_t = 1 + n_relays
+    iu, ju = np.triu_indices(first_t + n_terminals, k=1)
+    allowed = (ju < first_t) | ((iu > 0) & (iu < first_t))
+    pick = allowed & (rng.random(len(iu)) < density)
+    edges = {*zip(iu[pick].tolist(), ju[pick].tolist()), (0, 1)}
+    edges |= {(1, t) for t in range(first_t, first_t + n_terminals)}
+    return from_edges(n_relays, n_terminals, sorted(edges))
+
+
+class TestResidualRows:
+    def test_rows_match_the_edge_set_oracle(self):
+        # Densities from a few edges per node to most pairs, so the rows are
+        # packed all at once, in blocks, and one row per block.
+        graphs = [_random_edge_graph(seed, n_relays, 1 + seed % 4, density)
+                  for seed, (n_relays, density) in enumerate(itertools.product(
+                      (1, 5, 40, 150, 300), (0.0002, 0.002, 0.01, 0.05, 0.2, 0.7)))]
+        graphs += [build_connectivity_graph(200, 1 + seed % 4, FIG3, RandomStream.from_seed(seed))
+                   for seed in range(4)]
+        whole = [g.n_nodes ** 2 <= 32 * len(g.edges) for g in graphs]
+        assert any(whole) and not all(whole)
+        assert any(20 * len(g.edges) < g.n_nodes for g in graphs)  # one row a block
+        for g in graphs:
+            for t in g.terminal_ids:
+                assert _residual_rows(g, t) == _oracle_rows(g, t), (g.n_nodes, len(g.edges), t)
+        assert_engines_agree(graphs)
+
+    def test_packing_memory_just_above_the_engine_switch(self):
+        # The fewest edges for which _max_flow takes the rows at n = 2000:
+        # the packing works in blocks and its temporaries stay within about
+        # 16 bytes per arc, as the CSR engine's int64 arc order would take.
+        n_relays, n_terminals = 1997, 2
+        n = 1 + n_relays + n_terminals
+        rng = np.random.default_rng(6)
+        edges = {(0, 1), (1, n - 1), (1, n - 2)}
+        while len(edges) < -(-n // 64) * n // 2:
+            i, j = sorted(rng.integers(0, n - 2, 2).tolist())
+            if i != j:
+                edges.add((i, j))
+        edges |= {(k, n - 1 - k % 2) for k in range(2, 60)}
+        g = from_edges(n_relays, n_terminals, sorted(edges))
+        assert -(-n // 64) * n <= 2 * len(g.edges) < -(-n // 64) * n + 200
+        tracemalloc.start()
+        try:
+            rows = _residual_rows(g, n - 1)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arcs = sum(row.bit_count() for row in rows)
+        assert 60_000 < arcs <= 2 * len(g.edges)
+        assert peak - retained <= 16 * arcs
+        assert rows == _oracle_rows(g, n - 1)
 
 
 @st.composite

@@ -8,8 +8,12 @@ every run, its workload, seed, provenance, end-to-end metrics and wall
 `trials_per_s`; the median and quartiles of each per workload and seed; and
 the median time of the build and `min_cut` stages (one terminal) at n = 200,
 1000 and 2000 with the fig3 radii and at n = 5000 with sparse radii (mean
-degree about 24, so `min_cut` takes the CSR engine), measured here on the
-sources under `--src`.
+degree about 24, so `min_cut` takes the CSR engine), measured on the sources
+under `--src`. With `--parent-src`, each stage row is timed on both source
+trees in alternating subprocesses, STAGE_ROUNDS rounds each, and the row
+keeps both medians, the median over rounds of the round's `--src`/parent
+ratio and the rounds in which `--src` was faster, so a stage comparison
+does not move with the host.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import argparse
 import json
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -30,6 +35,7 @@ SPARSE = {"r": 0.025, "r_prime": 0.05, "kernel": "fixed", "p": 0.5}
 STAGES = {"200": (200, 200, FIG3), "1000": (1000, 30, FIG3), "2000": (2000, 15, FIG3),
           "5000 sparse": (5000, 15, SPARSE)}
 STAGE_SEED = 777
+STAGE_ROUNDS = 10
 
 
 def spread(values):
@@ -39,27 +45,64 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
-def stage_medians(src: Path) -> dict:
-    sys.path.insert(0, str(src))
-    import numpy
+def stage_times(src: str, n: int, count: int, fields: dict) -> dict:
+    """Per-graph build and `min_cut` seconds of one stage row, on the
+    qrggsim under `src`, and the mean degree of the graphs timed."""
+    sys.path.insert(0, src)
     from qrggsim import ConnectionModel, RandomStream, build_connectivity_graph, min_cut
 
+    model = ConnectionModel.from_json(fields)
+    build, cut, degree = [], [], []
+    for seed in range(STAGE_SEED, STAGE_SEED + count):
+        t0 = time.perf_counter()
+        g = build_connectivity_graph(n, 1, model, RandomStream.from_seed(seed))
+        t1 = time.perf_counter()
+        min_cut(g, g.terminal_ids[0])
+        cut.append(time.perf_counter() - t1)
+        build.append(t1 - t0)
+        degree.append(2 * len(g.edges) / g.n_nodes)
+    return {"build": build, "min_cut": cut, "mean_degree": statistics.mean(degree)}
+
+
+def time_in_child(src: Path, n: int, count: int, fields: dict) -> dict:
+    """stage_times in a fresh interpreter, which imports only that tree."""
+    code = ("import json, sys, bench_file; "
+            "print(json.dumps(bench_file.stage_times(*json.loads(sys.argv[1]))))")
+    spec = json.dumps([str(Path(src).resolve()), n, count, fields])
+    done = subprocess.run([sys.executable, "-c", code, spec], cwd=Path(__file__).parent,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def stage_medians(src: Path, parent_src: Path | None = None) -> dict:
+    import numpy
+
+    sides = {"": src} if parent_src is None else {"parent_": parent_src, "": src}
+    rounds = 1 if parent_src is None else STAGE_ROUNDS
     out = {}
     for row, (n, count, fields) in STAGES.items():
-        model = ConnectionModel.from_json(fields)
-        build, cut, degree = [], [], []
-        for seed in range(STAGE_SEED, STAGE_SEED + count):
-            t0 = time.perf_counter()
-            g = build_connectivity_graph(n, 1, model, RandomStream.from_seed(seed))
-            t1 = time.perf_counter()
-            min_cut(g, g.terminal_ids[0])
-            cut.append(time.perf_counter() - t1)
-            build.append(t1 - t0)
-            degree.append(2 * len(g.edges) / g.n_nodes)
-        out[row] = {"n": n, "model": model.to_json(), "graphs": count,
-                    "mean_degree": statistics.mean(degree),
-                    "build_ms": statistics.median(build) * 1e3,
-                    "min_cut_ms": statistics.median(cut) * 1e3}
+        runs = {side: [] for side in sides}
+        for k in range(rounds):
+            # Alternate which tree goes first, so neither always runs warmer.
+            for side in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
+                runs[side].append(time_in_child(sides[side], n, count, fields))
+        out[row] = {"n": n, "model": fields, "graphs": count,
+                    "mean_degree": runs[""][0]["mean_degree"]}
+        for stage in ("build", "min_cut"):
+            for side, timed in runs.items():
+                # Pooled over rounds: every graph timed in every round.
+                out[row][f"{side}{stage}_ms"] = statistics.median(
+                    t for run in timed for t in run[stage]) * 1e3
+            if parent_src is not None:
+                # Each round's two runs are adjacent in time, so their ratio
+                # leaves out most of the host's drift.
+                ratios = [statistics.median(a[stage]) / statistics.median(b[stage])
+                          for a, b in zip(runs[""], runs["parent_"])]
+                out[row][f"{stage}_ratio"] = statistics.median(ratios)
+                out[row][f"{stage}_faster_rounds"] = sum(r < 1 for r in ratios)
+        if parent_src is not None:
+            out[row]["rounds"] = rounds
+            out[row]["parent_mean_degree"] = runs["parent_"][0]["mean_degree"]
     return {"terminals": 1, "first_seed": STAGE_SEED,
             "python": platform.python_version(), "numpy": numpy.__version__,
             "medians": out}
@@ -72,6 +115,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="sources whose stages are timed (default: this checkout's)")
+    parser.add_argument("--parent-src", type=Path,
+                        help="sources to time against, alternating with --src")
     parser.add_argument("--note", default="", help="free text kept in the record")
     args = parser.parse_args(argv)
 
@@ -98,7 +143,7 @@ def main(argv=None) -> int:
     summary = {key: {k: spread(v) for k, v in metrics.items()}
                for key, metrics in sorted(summary.items())}
     doc = {"label": args.label, "note": args.note, "runs": runs, "summary": summary,
-           "stages": stage_medians(args.src)}
+           "stages": stage_medians(args.src, args.parent_src)}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
