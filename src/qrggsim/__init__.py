@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 # The package root exports the README quickstart and the names the tests and
 # the benchmark import; every other name is reached through its module.
 from .bounds import (
-    chernoff_lower_tail,
     cut_tail_bound,
     expected_cut_capacity,
     full_report,
@@ -31,7 +30,6 @@ from .graph import (
 )
 from .model import (
     ConnectionModel,
-    KernelNotSupportedError,
     connection_probability,
     effective_annulus_p,
     estimate_connection_probability,

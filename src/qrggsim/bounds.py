@@ -10,12 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .model import (
-    ConnectionModel,
-    connection_probability,
-    effective_annulus_p,
-    p_prime_bounds,
-)
+from .model import ConnectionModel, connection_probability, p_prime_bounds
 
 
 def expected_cut_capacity(n: int, k: int, p_prime: float) -> float:
@@ -23,16 +18,6 @@ def expected_cut_capacity(n: int, k: int, p_prime: float) -> float:
     if not 0 <= k <= n:
         raise ValueError("require 0 <= k <= n")
     return p_prime * (n + k * (n - k))
-
-
-def chernoff_lower_tail(mean: float, epsilon: float) -> float:
-    """Lower-tail bound exp(-mean * eps^2 / 2) for sums of independent
-    Bernoulli indicators, clamped to 1."""
-    if mean < 0:
-        raise ValueError("mean must be non-negative")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    return min(1.0, math.exp(-mean * epsilon * epsilon / 2.0))
 
 
 def cut_tail_bound(n: int, k: int, p_prime: float, epsilon: float) -> float:
@@ -127,7 +112,7 @@ def full_report(n: int, tau: int, model: ConnectionModel, k: int = 0) -> BoundRe
     """Aggregate report; the p' point value is the border-corrected
     integration oracle, the interval is the corner/interior sandwich."""
     p_prime = connection_probability(model)
-    interval = p_prime_bounds(model, effective_p=effective_annulus_p(model))
+    interval = p_prime_bounds(model)
     expected_c0 = expected_cut_capacity(n, 0, p_prime)
     eps_lo, lo, lo_fail, vac_lo = lower_bound_report(n, tau, p_prime, k)
     eps_hi, hi, hi_fail, vac_hi = upper_bound_report(n, p_prime)

@@ -234,19 +234,21 @@ def run_sweep(
     """Mean capacity per (n, r) cell with the distance-decay kernel.
 
     Rows are emitted in (n ascending, r ascending) order. r' is either
-    r * r_prime_factor (clamped to 1) or taken from r_prime_list.
+    r * r_prime_factor (clamped to 1; the factor must be finite) or
+    r_prime_list's entry at r's position in r_list, so each r keeps its own
+    r' when the rows are sorted.
     """
     if not n_list or not r_list:
         raise ValueError("n_list and r_list must be non-empty")
-    if r_prime_list is not None and len(r_prime_list) != len(r_list):
+    if not math.isfinite(r_prime_factor):  # min(1.0, nan) would give r' = 1
+        raise ValueError(f"r_prime_factor must be finite, not {r_prime_factor!r}")
+    if r_prime_list is None:
+        r_prime_list = [min(1.0, r * r_prime_factor) for r in r_list]
+    elif len(r_prime_list) != len(r_list):
         raise ValueError("r_prime_list must match r_list")
     rows = []
     for n in sorted(n_list):
-        for idx, r in enumerate(sorted(r_list)):
-            r_prime = (
-                r_prime_list[idx] if r_prime_list is not None
-                else min(1.0, r * r_prime_factor)
-            )
+        for r, r_prime in sorted(zip(r_list, r_prime_list)):
             model = ConnectionModel(
                 r=r, r_prime=r_prime, kernel=KERNEL_LINEAR_DECAY, p=p_connection
             )

@@ -184,11 +184,10 @@ def _pair_distances(positions: np.ndarray, keys: np.ndarray, shift: int) -> np.n
     return np.hypot(dx, dy, out=dx)
 
 
-def _near_pairs(positions: np.ndarray, radius: float, inner: float | None = None) -> np.ndarray:
+def _near_pairs(positions: np.ndarray, radius: float, inner: float) -> np.ndarray:
     """All pairs (i < j) at np.hypot distance <= radius, as sorted int64 keys
-    (i << shift) | j with shift = _key_shift(N). Given an inner radius, each
-    key also carries the pair's class as its low bit: the key is
-    ((i << shift) | j) << 1 | annulus, annulus being np.hypot distance > inner.
+    ((i << shift) | j) << 1 | annulus with shift = _key_shift(N): the low bit
+    is the pair's class, annulus being np.hypot distance > inner.
 
     A fixed-radius near-neighbour search over vertical strips (Bentley,
     Stanat & Williams, 1977). The strips have width > radius / 2, with a
@@ -244,9 +243,8 @@ def _near_pairs(positions: np.ndarray, radius: float, inner: float | None = None
         key_ij = np.minimum(i, j)
         key_ij <<= shift
         key_ij |= np.maximum(i, j, out=j)
-        if inner is not None:
-            key_ij <<= 1
-            key_ij |= _beyond(dx[near], inner, x, y, a, b)
+        key_ij <<= 1
+        key_ij |= _beyond(dx[near], inner, x, y, a, b)
         keys.append(key_ij)
     return np.sort(np.concatenate(keys))
 
@@ -353,14 +351,14 @@ def cut_capacity(graph: ConnectivityGraph, terminal: int, partition_vk) -> int:
     return int(np.count_nonzero(side[graph.edges].sum(axis=1) == 1))
 
 
-def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None):
+def _max_flow(graph: ConnectivityGraph, terminal: int):
     """Unit-capacity Dinic max flow from the source to one terminal.
 
     Arcs are source->relay, both directions of each relay-relay edge (pairs
     i < j row-major, i->j first) and relay->terminal, in that order; the
     residual partner of arc e is e ^ 1. Other terminals get no arcs. Stops
-    once `limit` units flow; the limit is at most min(deg s, deg t), which
-    bounds the max flow.
+    once min(deg s, deg t) units flow, which bounds the max flow. A caller
+    that wants fewer units takes a prefix of the paths (Flow.paths).
 
     Each phase sets levels by BFS and keeps the level-graph arcs (residual,
     one level up) into nodes from which the terminal is reachable; an
@@ -376,12 +374,12 @@ def _max_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
     Returns the Flow, with the node path of each augmentation.
     """
     dense = -(-graph.n_nodes // 64) * graph.n_nodes <= 2 * len(graph.edges)
-    return (_bitset_flow if dense else _csr_flow)(graph, terminal, limit)
+    return (_bitset_flow if dense else _csr_flow)(graph, terminal)
 
 
-def _flow_arcs(graph: ConnectivityGraph, terminal: int, limit: int | None):
+def _flow_arcs(graph: ConnectivityGraph, terminal: int):
     """_csr_flow's arcs: forward arc 2k runs tail[k] -> head[k], as int32
-    arrays; plus the limit, capped at min(deg s, deg t)."""
+    arrays; plus the flow's bound, min(deg s, deg t)."""
     e = graph.edges.astype(np.int32)
     i, j = e[:, 0], e[:, 1]
     src = j[i == 0]
@@ -391,16 +389,15 @@ def _flow_arcs(graph: ConnectivityGraph, terminal: int, limit: int | None):
     dst = i[j == terminal]
     tail = np.concatenate([np.zeros_like(src), np.stack([ri, rj], 1).ravel(), dst])
     head = np.concatenate([src, np.stack([rj, ri], 1).ravel(), np.full_like(dst, terminal)])
-    bound = min(len(src), len(dst))
-    return tail, head, bound if limit is None else min(limit, bound)
+    return tail, head, min(len(src), len(dst))
 
 
-def _csr_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None):
+def _csr_flow(graph: ConnectivityGraph, terminal: int):
     """_max_flow with each phase's O(E) work in numpy: a frontier BFS sets
     the levels, a backward sweep keeps the level-graph arcs, and the DFS
     walks the kept arcs in CSR order."""
     n = graph.n_nodes
-    tail, head, limit = _flow_arcs(graph, terminal, limit)
+    tail, head, bound = _flow_arcs(graph, terminal)
     # Arc 2k is tail[k] -> head[k] with capacity 1; arc 2k + 1 is its partner.
     frm = np.stack([tail, head], 1).ravel()
     to = np.stack([head, tail], 1).ravel()
@@ -418,8 +415,8 @@ def _csr_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
     ends = []
     while True:
         # layers[d] holds the positions of the residual arcs out of the nodes
-        # at level d. While flow is still wanted, the BFS stops at the
-        # terminal's level; the levels it returns are complete.
+        # at level d. Below the bound, the BFS stops at the terminal's level;
+        # the levels it returns are complete.
         level = np.full(n, -1, np.int32)
         level[0] = 0
         frontier = np.zeros(1, np.intp)
@@ -432,10 +429,10 @@ def _csr_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
             layers.append(pos)
             v = to_p[pos]
             level[v[level[v] < 0]] = len(layers)
-            if level[terminal] == len(layers) and flow < limit:
+            if level[terminal] == len(layers) and flow < bound:
                 break
             frontier = np.flatnonzero(level == len(layers))
-        if level[terminal] < 0 or flow >= limit:
+        if level[terminal] < 0 or flow >= bound:
             return Flow(terminal, flow, level, np.concatenate(hops), tuple(ends))
         # Backward sweep: reach[v] is v's level once v is known to reach the
         # terminal, else -1.
@@ -454,7 +451,7 @@ def _csr_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
         used = []
         offset = ends[-1] if ends else 0
         u = 0
-        while flow < limit:
+        while flow < bound:
             if u == terminal:
                 for k in path:  # each arc is spent for the rest of the phase
                     it[tails[k]] += 1
@@ -477,7 +474,7 @@ def _csr_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None)
         hops.append(to[spent])
 
 
-def _bitset_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = None):
+def _bitset_flow(graph: ConnectivityGraph, terminal: int):
     """_max_flow with each phase on Python-int bitset rows.
 
     res[u] has bit v set iff some arc u -> v has residual capacity. A BFS
@@ -494,21 +491,20 @@ def _bitset_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = No
     the DFS takes a node's candidates as its row stands at the first visit.
 
     The rows come straight from the edges (_residual_rows), with no arc
-    arrays; the limit is capped at min(deg s, deg t), the bits of row 0 and
+    arrays; the flow's bound, min(deg s, deg t), is the bits of row 0 and
     the relays adjacent to the terminal.
     """
     n = graph.n_nodes
     res = _residual_rows(graph, terminal)
     bound = min(res[0].bit_count(), int(np.count_nonzero(graph.edges[:, 1] == terminal)))
-    limit = bound if limit is None else min(limit, bound)
     width = (n + 7) // 8
     carried = set()  # the arcs u -> v that carry a unit
     hops = []
     ends = []
     flow = 0
     while True:
-        # levels[d] lists the level-d nodes; while flow is still wanted the
-        # BFS stops at the terminal's level, whose list it leaves complete.
+        # levels[d] lists the level-d nodes; below the bound the BFS stops
+        # at the terminal's level, whose list it leaves complete.
         levels = [[0]]
         seen = 1
         while True:
@@ -520,9 +516,9 @@ def _bitset_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = No
                 break
             seen |= reached
             levels.append(_bit_ids(reached, width))
-            if reached >> terminal & 1 and flow < limit:
+            if reached >> terminal & 1 and flow < bound:
                 break
-        if not seen >> terminal & 1 or flow >= limit:
+        if not seen >> terminal & 1 or flow >= bound:
             break
         # reach[d] holds the level-d nodes that reach the terminal.
         reach = [0] * len(levels)
@@ -534,7 +530,7 @@ def _bitset_flow(graph: ConnectivityGraph, terminal: int, limit: int | None = No
                     reach[d] |= 1 << u
         cur = {}  # node -> heads of its kept arcs not yet passed; lowest first
         path = [0]  # nodes from the source; path[k] is at level k
-        while flow < limit:
+        while flow < bound:
             u = path[-1]
             if u == terminal:
                 for a, b in zip(path, path[1:]):
@@ -628,10 +624,11 @@ def min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:
 def edge_disjoint_paths(
     graph: ConnectivityGraph, terminal: int, limit: int | None = None
 ) -> list[list[int]]:
-    """Decompose an integral max flow, stopped at `limit` units, into
-    edge-disjoint s->t node paths."""
+    """The max flow's first `limit` augmenting paths (all when None),
+    replayed and decomposed into edge-disjoint s->t node paths
+    (Flow.paths)."""
     _check_terminal(graph, terminal)
-    return _max_flow(graph, terminal, limit).paths()
+    return _max_flow(graph, terminal).paths(limit)
 
 
 def brute_force_min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:

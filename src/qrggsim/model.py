@@ -18,10 +18,8 @@ from .rng import RandomStream
 
 KERNEL_FIXED = "fixed"
 KERNEL_LINEAR_DECAY = "linear_decay"
-
-
-class KernelNotSupportedError(ValueError):
-    """Raised when an operation is defined only for the fixed-p kernel."""
+# Simpson nodes (odd) for connection_probability's linear_decay integral.
+SIMPSON_GRID = 20001
 
 
 @dataclass(frozen=True)
@@ -101,21 +99,16 @@ def effective_annulus_p(model: ConnectionModel) -> float:
     return model.p / 3.0
 
 
-def p_prime_bounds(model: ConnectionModel, effective_p: float | None = None):
+def p_prime_bounds(model: ConnectionModel):
     """Interval bracketing the marginal pair-connection probability.
 
     lower = (pi r^2 + pi (r'^2 - r^2) p) / 4 (corner placement),
-    upper = pi r^2 + pi (r'^2 - r^2) p, both clamped to [0, 1].
-
-    The closed form assumes a constant annulus probability; a linear_decay
-    model is rejected unless the caller passes an explicit effective p.
+    upper = pi r^2 + pi (r'^2 - r^2) p, both clamped to [0, 1], with p the
+    mean annulus probability (effective_annulus_p). pi (r'^2 - r^2) p is the
+    kernel's integral over the annulus for either kernel, so both ends are
+    exact for linear_decay too.
     """
-    if model.kernel != KERNEL_FIXED and effective_p is None:
-        raise KernelNotSupportedError(
-            "pair-probability interval requires the fixed kernel; "
-            "pass effective_p to substitute an averaged annulus probability"
-        )
-    p = model.p if model.kernel == KERNEL_FIXED else effective_p
+    p = effective_annulus_p(model)
     full = math.pi * model.r**2 + math.pi * (model.r_prime**2 - model.r**2) * p
     upper = min(1.0, max(0.0, full))
     lower = min(1.0, max(0.0, full / 4.0))
@@ -134,7 +127,7 @@ def unit_square_distance_cdf(rho: float) -> float:
     return math.pi * rho**2 - (8.0 / 3.0) * rho**3 + 0.5 * rho**4
 
 
-def connection_probability(model: ConnectionModel, grid: int = 20001) -> float:
+def connection_probability(model: ConnectionModel) -> float:
     """Border-corrected marginal pair-connection probability.
 
     Fixed kernel: exact via the unit-square distance CDF. Linear decay:
@@ -146,12 +139,12 @@ def connection_probability(model: ConnectionModel, grid: int = 20001) -> float:
     if model.kernel == KERNEL_FIXED:
         annulus = unit_square_distance_cdf(model.r_prime) - unit_square_distance_cdf(model.r)
         return disk + model.p * annulus
-    d = np.linspace(model.r, model.r_prime, grid)
+    d = np.linspace(model.r, model.r_prime, SIMPSON_GRID)
     density = 2.0 * math.pi * d - 8.0 * d**2 + 2.0 * d**3
     frac = np.clip((d * d - model.r**2) / (model.r_prime**2 - model.r**2), 0.0, 1.0)
     integrand = (1.0 - np.sqrt(frac)) * model.p * density
-    h = (model.r_prime - model.r) / (grid - 1)
-    weights = np.ones(grid)
+    h = (model.r_prime - model.r) / (SIMPSON_GRID - 1)
+    weights = np.ones(SIMPSON_GRID)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return disk + float(np.dot(weights, integrand)) * h / 3.0

@@ -18,7 +18,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def histogram_svg(bin_edges, counts, title: str = "") -> str:
+def histogram_svg(bin_edges, counts) -> str:
     """Render a bar histogram with 'min-cut capacity' / 'frequency' axes."""
     if len(bin_edges) != len(counts) + 1 or not counts:
         raise ValueError("need len(bin_edges) == len(counts) + 1 >= 2")
@@ -39,11 +39,6 @@ def histogram_svg(bin_edges, counts, title: str = "") -> str:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
     for lo, hi, count in zip(bin_edges, bin_edges[1:], counts):
         if count <= 0:
             continue

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qrggsim import (
     ConnectionModel,
     RandomStream,
-    chernoff_lower_tail,
     cut_tail_bound,
     expected_cut_capacity,
     full_report,
@@ -44,17 +43,21 @@ class TestExpectedCutCapacity:
 
 
 class TestChernoffLowerTail:
+    # The size-0 cut's tail bound is the Chernoff lower tail of its mean
+    # n p': exp(-eps^2 n p' / 2).
+
     def test_direct_value(self):
-        assert chernoff_lower_tail(10, 0.5) == pytest.approx(math.exp(-1.25), abs=1e-12)
-        assert chernoff_lower_tail(10, 0.5) == pytest.approx(0.28650, abs=5e-6)
+        assert cut_tail_bound(20, 0, 0.5, 0.5) == pytest.approx(math.exp(-1.25), abs=1e-12)
+        assert cut_tail_bound(20, 0, 0.5, 0.5) == pytest.approx(0.28650, abs=5e-6)
 
     def test_zero_mean_is_vacuous(self):
-        assert chernoff_lower_tail(0, 0.3) == 1.0
+        assert cut_tail_bound(0, 0, 0.3, 0.3) == 1.0
+        assert cut_tail_bound(50, 0, 0.0, 0.3) == 1.0
 
     def test_epsilon_domain(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                chernoff_lower_tail(5, bad)
+                cut_tail_bound(10, 0, 0.5, bad)
 
     def test_empirical_binomial_tail_dominated(self):
         rng = RandomStream.from_seed(99)

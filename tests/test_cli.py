@@ -253,6 +253,15 @@ class TestSweep:
         assert (code, stdout) == (1, "")
         assert f"error: bad n list: {n_list!r}" in err
 
+    def test_non_finite_r_prime_factor_rejected(self, capsys):
+        # It used to exit 0 with r' = 1, as min(1.0, nan) is 1.0.
+        code, stdout, err = run_cli(
+            capsys, "sweep", "--n-list", "10", "--r-list", "0.1",
+            "--r-prime-factor", "nan", "--trials", "1", "--seed", "5",
+        )
+        assert (code, stdout) == (1, "")
+        assert "error: r_prime_factor must be finite, not nan" in err
+
     def test_r_prime_list_length_mismatch(self, capsys):
         code, _, _ = run_cli(
             capsys, "sweep", "--n-list", "10", "--r-list", "0.1,0.2",
@@ -399,7 +408,7 @@ class TestVersion:
             assert code == 0 and out.startswith(usage), argv
 
 
-OUTPUT_PIN = "1440d54e888a0dcc5cd8126ff900f3507431c35f5b1447372748a2b4f21df892"
+OUTPUT_PIN = "f288026cd6d7f06ec643ec38a64ce106b01446696614f83e3ece513319b8793a"
 
 
 class TestOutputPin:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -199,6 +200,21 @@ class TestRunSweep:
         assert [(r["n"], r["r"]) for r in rows] == [
             (20, 0.1), (20, 0.2), (40, 0.1), (40, 0.2)
         ]
+
+    def test_r_prime_is_paired_with_r_by_position(self):
+        # The rows come sorted by r; each r keeps the r' given beside it.
+        rows = run_sweep([25], [0.2, 0.15], trials=3, master_seed=6, r_prime_list=[0.3, 0.35])
+        assert [(r["r"], r["r_prime"]) for r in rows] == [(0.15, 0.35), (0.2, 0.3)]
+        alone = run_sweep([25], [0.15], trials=3, master_seed=6, r_prime_list=[0.35])
+        assert rows[0] == alone[0]
+        rows = run_sweep([25], [0.2, 0.1], trials=1, master_seed=6, r_prime_factor=2.0)
+        assert [(r["r"], r["r_prime"]) for r in rows] == [(0.1, 0.2), (0.2, 0.4)]
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_factor_rejected(self, factor):
+        # min(1.0, nan) is 1.0, so a NaN factor used to run r' = 1.
+        with pytest.raises(ValueError, match="r_prime_factor must be finite"):
+            run_sweep([25], [0.1], trials=1, master_seed=0, r_prime_factor=factor)
 
     def test_vanishing_vs_usable_radius(self):
         # a 0.001 radius makes any source-relay-terminal chain vanishingly rare

@@ -39,7 +39,7 @@ from qrggsim.model import kernel_probability
 
 FIG3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
 FLOW_PIN = "8d16df39d7082cd8b5782647f5ce4251a1a6ff6f2fd444cd36f8db8ff4e2915e"
-SCALE_FLOW_PIN = "7007776541eb1ed674ec818a6500b2ad372b3a1c258a9d34bc090ce4fa8819f9"
+SCALE_FLOW_PIN = "aef235f8a835c7674bd650e23d86f364d91470c8d0890de33c4dade9e6652c5d"
 ORACLE_PIN = "b818323739b493d439c50c78fcf16dabcc94f933b513e9acca4c9de61b3878f6"
 
 
@@ -120,15 +120,15 @@ def _split_keys(keys, n):
     return keys >> shift, keys & ((1 << shift) - 1)
 
 
-def _near_pair_ids(positions, radius):
-    """_near_pairs' sorted keys split into (iu, ju) arrays."""
-    return _split_keys(_near_pairs(positions, radius), len(positions))
-
-
 def _near_pair_classes(positions, radius, inner):
-    """_near_pairs' keys with an inner radius split into (iu, ju, annulus)."""
+    """_near_pairs' sorted keys split into (iu, ju, annulus) arrays."""
     keys = _near_pairs(positions, radius, inner)
     return (*_split_keys(keys >> 1, len(positions)), (keys & 1).astype(bool))
+
+
+def _near_pair_ids(positions, radius):
+    """The (iu, ju) arrays of the pairs within radius, class bit shifted off."""
+    return _near_pair_classes(positions, radius, radius)[:2]
 
 
 # Pairs about 0.2 apart on which sqrt(dx*dx + dy*dy) and np.hypot fall on
@@ -225,7 +225,7 @@ class TestNearPairs:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_points_have_no_pairs(self, n):
-        keys = _near_pairs(np.full((n, 2), 0.5), 0.2)
+        keys = _near_pairs(np.full((n, 2), 0.5), 0.2, 0.1)
         assert keys.dtype == np.int64 and keys.shape == (0,)
 
     def test_tiny_radius_keeps_the_grid_small(self):
@@ -617,19 +617,34 @@ class TestFlowPin:
         records = []
         for g in graphs:
             for t in g.terminal_ids:
-                full = _max_flow(g, t)
-                for flow in (full, _max_flow(g, t, full.value // 2)):
-                    records.append([int(flow.value), np.asarray(flow.level, int).tolist(),
-                                    np.asarray(flow.hops, int).tolist(), list(flow.ends)])
+                flow = _max_flow(g, t)
+                records.append([int(flow.value), np.asarray(flow.level, int).tolist(),
+                                np.asarray(flow.hops, int).tolist(), list(flow.ends)])
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == SCALE_FLOW_PIN
 
 
+def assert_replay_takes_disjoint_paths(g, t, flow) -> int:
+    """At every limit from 0 to flow.value + 1, flow.paths(limit) is
+    min(limit, value) paths from the source through relays to t, over edges
+    of g, and no edge is used twice; returns the number of limits checked."""
+    edges = set(g.edge_list())
+    for limit in range(flow.value + 2):
+        paths = flow.paths(limit)
+        assert len(paths) == min(limit, flow.value), limit
+        hops = [(min(u, v), max(u, v)) for path in paths for u, v in zip(path, path[1:])]
+        assert set(hops) <= edges and len(set(hops)) == len(hops), limit
+        for path in paths:
+            assert path[0] == 0 and path[-1] == t
+            assert all(1 <= v <= g.n_relays for v in path[1:-1])
+    return flow.value + 2
+
+
 class TestFlowReplay:
-    def test_replayed_paths_equal_a_limited_run(self):
+    def test_replayed_paths_are_disjoint_paths_of_the_graph(self):
         # The coding check takes its paths from the min-cut flow: the first
-        # `limit` augmentations, replayed, must give what a run stopped at
-        # `limit` gives, at every limit and across Dinic phases.
+        # `limit` augmentations, replayed, must be `limit` edge-disjoint
+        # paths of the graph, at every limit and across Dinic phases.
         graphs = [random_graph(seed, n_relays=12 + 4 * (seed % 13), n_terminals=1 + seed % 4)
                   for seed in range(150)]
         graphs += [build_connectivity_graph(200, 4, FIG3, RandomStream.from_seed(seed))
@@ -640,9 +655,9 @@ class TestFlowReplay:
             for t in g.terminal_ids:
                 cut = min_cut(g, t)
                 assert cut.flow.paths() == edge_disjoint_paths(g, t)
+                cases += assert_replay_takes_disjoint_paths(g, t, cut.flow)
                 for limit in range(cut.capacity + 2):
-                    assert cut.flow.paths(limit) == _max_flow(g, t, limit).paths(), (t, limit)
-                    cases += 1
+                    assert cut.flow.paths(limit) == edge_disjoint_paths(g, t, limit), (t, limit)
                 # A Dinic phase's augmenting paths all have the length of
                 # that phase, and the length grows from phase to phase.
                 phases.append(len(set(np.diff((0, *cut.flow.ends)))))
@@ -662,8 +677,7 @@ class TestFlowReplay:
         assert flow.hops.tolist() == [1, 2, 15, 3, 4, 2, 1, 5, 6, 15, *range(8, 16)]
         assert flow.paths(1) == [[0, 1, 2, 15]]
         assert flow.paths(2) == [[0, 1, 5, 6, 15], [0, 3, 4, 2, 15]]
-        for limit in range(5):
-            assert flow.paths(limit) == _max_flow(g, 15, limit).paths()
+        assert assert_replay_takes_disjoint_paths(g, 15, flow) == 5
 
     def test_min_cut_carries_its_flow_outside_equality(self):
         g = butterfly_graph()
@@ -721,9 +735,7 @@ def assert_same_flow(a, b):
 def assert_engines_agree(graphs):
     for g in graphs:
         for t in g.terminal_ids:
-            full = _csr_flow(g, t)
-            for limit in (None, 0, 1, full.value // 2):
-                assert_same_flow(_csr_flow(g, t, limit), _bitset_flow(g, t, limit))
+            assert_same_flow(_csr_flow(g, t), _bitset_flow(g, t))
 
 
 def sparse_model(r_prime):
@@ -757,7 +769,7 @@ class TestFlowEngines:
         chosen = []
         for name in ("_csr_flow", "_bitset_flow"):
             monkeypatch.setattr(graph_module, name,
-                                lambda g, t, limit, name=name: chosen.append(name))
+                                lambda g, t, name=name: chosen.append(name))
         chain = from_edges(1199, 1, [(k, k + 1) for k in range(1200)])
         # A few edges among a huge number of relays: rows would be O(n^2) bits.
         scattered = graph_from_json({"n_relays": 10**6, "terminals": [10**6 + 1],
@@ -890,11 +902,11 @@ def small_graphs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_graphs(), st.none() | st.integers(0, 6))
-def test_engines_agree_with_the_exhaustive_oracle(case, limit):
+@given(small_graphs())
+def test_engines_agree_with_the_exhaustive_oracle(case):
     g, t = case
-    flow = _csr_flow(g, t, limit)
-    assert_same_flow(flow, _bitset_flow(g, t, limit))
+    flow = _csr_flow(g, t)
+    assert_same_flow(flow, _bitset_flow(g, t))
     # The hops are s-t paths of the graph itself, shortest first, as Dinic
     # finds them: a check against the graph, not against the other engine.
     edges = set(g.edge_list())
@@ -905,6 +917,7 @@ def test_engines_agree_with_the_exhaustive_oracle(case, limit):
         path = [0, *flow.hops[a:b].tolist()]
         assert path[-1] == t
         assert all((min(u, v), max(u, v)) in edges for u, v in zip(path, path[1:]))
+    assert_replay_takes_disjoint_paths(g, t, flow)
     cut = min_cut(g, t)
     assert cut.capacity == brute_force_min_cut(g, t).capacity
     assert cut_capacity(g, t, cut.partition_vk) == cut.capacity

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qrggsim import (
     ConnectionModel,
-    KernelNotSupportedError,
     RandomStream,
     build_connectivity_graph,
     connection_probability,
@@ -235,12 +234,15 @@ class TestPPrimeBounds:
         model = ConnectionModel(r=0.0, r_prime=0.0, kernel="fixed", p=0.3)
         assert p_prime_bounds(model) == (0.0, 0.0)
 
-    def test_linear_decay_rejected_without_override(self):
+    def test_linear_decay_uses_the_mean_annulus_probability(self):
+        # The decay kernel's annulus mean is p/3, so its interval is the
+        # fixed kernel's at p/3, and it brackets the quadrature oracle.
         model = ConnectionModel(r=0.1, r_prime=0.2, kernel="linear_decay", p=0.9)
-        with pytest.raises(KernelNotSupportedError):
-            p_prime_bounds(model)
-        lo, hi = p_prime_bounds(model, effective_p=effective_annulus_p(model))
-        assert 0 < lo < hi
+        lo, hi = p_prime_bounds(model)
+        fixed = p_prime_bounds(ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.3))
+        assert (lo, hi) == pytest.approx(fixed, abs=1e-15)
+        assert hi == pytest.approx(math.pi * 0.019, abs=1e-15)
+        assert lo < connection_probability(model) < hi
 
     def test_effective_annulus_p_is_third_of_p_connection(self):
         model = ConnectionModel(r=0.1, r_prime=0.2, kernel="linear_decay", p=0.9)

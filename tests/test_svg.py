@@ -13,7 +13,7 @@ class TestHistogramSvg:
         assert histogram_svg(EDGES, COUNTS) == histogram_svg(EDGES, COUNTS)
 
     def test_rect_and_text_elements_only(self):
-        svg = histogram_svg(EDGES, COUNTS, title="demo")
+        svg = histogram_svg(EDGES, COUNTS)
         tags = set(re.findall(r"<(\w+)", svg))
         assert tags == {"svg", "rect", "text"}
 
@@ -31,10 +31,6 @@ class TestHistogramSvg:
         svg = histogram_svg(EDGES, COUNTS)
         assert 'width="640" height="400"' in svg
         assert 'viewBox="0 0 640 400"' in svg
-
-    def test_title_optional(self):
-        assert "demo title" in histogram_svg(EDGES, COUNTS, title="demo title")
-        assert "demo title" not in histogram_svg(EDGES, COUNTS)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
