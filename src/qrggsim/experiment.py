@@ -36,8 +36,10 @@ class ExperimentConfig:
     rlnc_trials: int = 8
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("trials", "rlnc_trials"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
         if self.histogram_bins is not None and self.histogram_bins < 1:
             raise ValueError("histogram_bins must be >= 1")
         for eps in self.audit_epsilons:

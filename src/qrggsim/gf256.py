@@ -36,10 +36,9 @@ _build_tables()
 class Field:
     """A field of characteristic 2 given by its multiplication table.
 
-    `mul[a, b]` is a * b, one `(order, order)` uint8 array, so a product of
-    whole arrays is one gather `mul[x, y]`; `inv[a]` is the inverse of a
-    nonzero a (inv[0] is 0 and never read). Addition is XOR. Both tables are
-    read-only: every caller in the process shares them.
+    `mul[a, b]` is a * b, one `(order, order)` uint8 array; `inv[a]` is the
+    inverse of a nonzero a (inv[0] is 0 and never read). Addition is XOR.
+    Both tables are read-only: every caller in the process shares them.
     """
 
     def __init__(self, order: int, poly: str, table):
@@ -48,6 +47,14 @@ class Field:
         self.mul = np.asarray(table, dtype=np.uint8)
         self.inv = (self.mul == 1).argmax(axis=1).astype(np.uint8)
         self.mul.flags.writeable = self.inv.flags.writeable = False
+        self._flat = self.mul.ravel()
+        self._shift = order.bit_length() - 1
+
+    def times(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The products a * b of two broadcast uint8 arrays, as uint8: what
+        `mul[a, b]` gives, as one take from the flat table, which is
+        cheaper than that 2-D gather."""
+        return self._flat.take((a.astype(np.uint16) << self._shift) | b)
 
 
 def _gf256_table() -> np.ndarray:
@@ -83,11 +90,11 @@ def _row_reduce(a: np.ndarray, ncols: int, field: Field) -> np.ndarray:
         pivot, dest = nonzero[active].argmax(axis=1), rank[active]
         top = a[active, pivot]
         a[active, pivot] = a[active, dest]
-        top = field.mul[field.inv[top[:, col]][:, None], top]
+        top = field.times(field.inv[top[:, col]][:, None], top)
         a[active, dest] = top
         factor = a[active, :, col]
         factor[np.arange(active.size), dest] = 0
-        a[active] ^= field.mul[factor[:, :, None], top[:, None, :]]
+        a[active] ^= field.times(factor[:, :, None], top[:, None, :])
         rank[active] += 1
     return rank
 

@@ -16,6 +16,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,13 @@ class ConnectivityGraph:
     def edge_list(self) -> list[tuple[int, int]]:
         """All unit edges as sorted (i, j) pairs with i < j."""
         return [(i, j) for i, j in self.edges.tolist()]
+
+    @cached_property
+    def _rows(self) -> list[int]:
+        """_residual_rows of the graph, packed once and shared by the flows
+        to every terminal: the edges are read-only, so it cannot go stale.
+        Readers copy the list before they change a row."""
+        return _residual_rows(self)
 
 
 def from_edges(
@@ -491,22 +499,30 @@ def _bitset_flow(graph: ConnectivityGraph, terminal: int):
     the DFS takes a node's candidates as its row stands at the first visit.
 
     The rows come straight from the edges (_residual_rows), with no arc
-    arrays; the flow's bound, min(deg s, deg t), is the bits of row 0 and
+    arrays. They hold the arcs into every terminal: the other terminals
+    start out seen, so no BFS level, sweep or DFS meets them. A graph with
+    several terminals packs its rows once and keeps them (graph._rows), and
+    each flow works on its own copy of the list; a lone terminal's flow
+    packs its own and drops them, so the graph keeps no N^2 bits after its
+    one flow. The flow's bound, min(deg s, deg t), is the bits of row 0 and
     the relays adjacent to the terminal.
     """
     n = graph.n_nodes
-    res = _residual_rows(graph, terminal)
+    res = list(graph._rows) if graph.n_terminals > 1 else _residual_rows(graph)
     bound = min(res[0].bit_count(), int(np.count_nonzero(graph.edges[:, 1] == terminal)))
+    first_t = 1 + graph.n_relays
+    others = (((1 << graph.n_terminals) - 1) << first_t) ^ (1 << terminal)
     width = (n + 7) // 8
     carried = set()  # the arcs u -> v that carry a unit
     hops = []
     ends = []
     flow = 0
     while True:
-        # levels[d] lists the level-d nodes; below the bound the BFS stops
-        # at the terminal's level, whose list it leaves complete.
+        # levels[d] lists the level-d nodes. Below the bound the BFS stops
+        # at the terminal's level, len(levels), and lists none of it: only
+        # the last phase sets `level`, and it never stops there.
         levels = [[0]]
-        seen = 1
+        seen = 1 | others
         while True:
             reached = 0
             for u in levels[-1]:
@@ -515,15 +531,14 @@ def _bitset_flow(graph: ConnectivityGraph, terminal: int):
             if not reached:
                 break
             seen |= reached
-            levels.append(_bit_ids(reached, width))
             if reached >> terminal & 1 and flow < bound:
                 break
+            levels.append(_bit_ids(reached, width))
         if not seen >> terminal & 1 or flow >= bound:
             break
         # reach[d] holds the level-d nodes that reach the terminal.
-        reach = [0] * len(levels)
-        reach[-1] = 1 << terminal
-        for d in range(len(levels) - 2, -1, -1):
+        reach = [0] * len(levels) + [1 << terminal]
+        for d in range(len(levels) - 1, -1, -1):
             up = reach[d + 1]
             for u in levels[d]:
                 if res[u] & up:
@@ -560,15 +575,15 @@ def _bitset_flow(graph: ConnectivityGraph, terminal: int):
     return Flow(terminal, flow, level, np.array(hops, np.int32), tuple(ends))
 
 
-def _residual_rows(graph: ConnectivityGraph, terminal: int) -> list[int]:
-    """The residual rows of the flow network to `terminal` before any flow:
-    row u as a Python int with bit v set iff there is an arc u -> v.
+def _residual_rows(graph: ConnectivityGraph) -> list[int]:
+    """The residual rows of the flow networks to the terminals before any
+    flow: row u as a Python int with bit v set iff there is an arc u -> v.
 
     Packed straight from the edge rows (i, j): bits i -> j and j -> i for
     every edge, less the arcs no flow may use, which are those into the
-    source, out of a terminal and into another terminal. What is left is a
-    forward bit for every edge but those to other terminals, and a reverse
-    bit for relay-relay edges only.
+    source and out of a terminal. What is left is a forward bit for every
+    edge, into any terminal, and a reverse bit for relay-relay edges only;
+    a flow to one terminal keeps the others out itself (_bitset_flow).
 
     The packing takes at most about 16 bytes per edge bit: it packs all n
     rows at once when their n * n bools fit in that (the views of the edge
@@ -596,7 +611,6 @@ def _residual_rows(graph: ConnectivityGraph, terminal: int) -> list[int]:
             dense[row, i[back]] = True
         dense[:, 0] = False
         dense[max(1 + graph.n_relays - lo, 0):] = False
-        dense[:, [t for t in graph.terminal_ids if t != terminal]] = False
         data = memoryview(np.packbits(dense, axis=1, bitorder="little").ravel())
         rows += [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
     return rows

@@ -176,7 +176,7 @@ def _global_vectors(dag: CodingDag, plan, coeffs: np.ndarray, field) -> np.ndarr
             # The source mixes the unit vectors: its coefficients are the vectors.
             vectors[:, out] = c
         else:
-            products = field.mul[c[..., None], vectors[:, ins][:, None]]
+            products = field.times(c[..., None], vectors[:, ins][:, None])
             vectors[:, out] = np.bitwise_xor.reduce(products, axis=2)
     return vectors
 
@@ -188,7 +188,7 @@ def _count_decoded(vectors: np.ndarray, msgs: np.ndarray, in_arcs: np.ndarray, f
     originals. A singular system fails. `in_arcs` is (terminals, h)."""
     trials, h = msgs.shape
     matrices = vectors[:, in_arcs]
-    received = np.bitwise_xor.reduce(field.mul[matrices, msgs[:, None, None, :]], axis=3)
+    received = np.bitwise_xor.reduce(field.times(matrices, msgs[:, None, None, :]), axis=3)
     systems = np.concatenate([matrices, received[..., None]], axis=3).reshape(-1, h, h + 1)
     ranks = _row_reduce(systems, h, field).reshape(trials, -1)
     solved = systems[:, :, h].reshape(trials, -1, h)
@@ -228,19 +228,19 @@ def verify_achievability(
         )
     plan, lows = _coding_plan(dag, graph.source)
     in_arcs = np.array([dag.in_arcs[t] for t in graph.terminal_ids])
+    # A trial draws its coefficients, then its h message symbols, in one
+    # call: numpy takes one 32-bit word per bounded value on its
+    # array-bound and scalar-bound paths alike, so the values are those of
+    # node-by-node draws of the coefficients followed by the symbols.
+    bounds = np.concatenate([lows, np.zeros(h, lows.dtype)])
     successes = 0
     for first in range(0, trials, CODING_BLOCK):
         block = range(first, min(first + CODING_BLOCK, trials))
-        coeffs = np.empty((len(block), len(lows)), dtype=np.uint8)
-        msgs = np.empty((len(block), h), dtype=np.uint8)
+        draws = np.empty((len(block), len(bounds)), dtype=np.uint8)
         for row, i in enumerate(block):
-            stream = rng.child("rlnc-trial", i)
-            # One draw for all of a trial's coefficients, as node-by-node
-            # draws of the same bounds would give them.
-            coeffs[row] = stream.integers(lows, field.order)
-            msgs[row] = stream.integers(0, field.order, size=h)
-        vectors = _global_vectors(dag, plan, coeffs, field)
-        successes += _count_decoded(vectors, msgs, in_arcs, field)
+            draws[row] = rng.child("rlnc-trial", i).integers(bounds, field.order)
+        vectors = _global_vectors(dag, plan, draws[:, :len(lows)], field)
+        successes += _count_decoded(vectors, draws[:, len(lows):], in_arcs, field)
     return AchievabilityReport(
         h=h, trials=trials, success_fraction=successes / trials,
         cyclic_skipped=False, field_poly=field.poly,

@@ -13,11 +13,17 @@ import zlib
 
 import numpy as np
 
+_MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 class RandomStream:
-    """A deterministic PCG64 stream keyed by an integer seed path."""
+    """A deterministic PCG64 stream keyed by an integer seed path.
+
+    The stream draws what `Generator(PCG64(SeedSequence(list(path))))`
+    draws. The generator is built at the first draw, so a stream that only
+    derives children (a master or a trial stream) never pays for one.
+    """
 
     __slots__ = ("_path", "_gen")
 
@@ -25,16 +31,15 @@ class RandomStream:
         self._path = tuple(int(x) & _MASK64 for x in path)
         if not self._path:
             raise ValueError("seed path must be non-empty")
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(list(self._path)))
-        )
+        self._gen = None
 
     @classmethod
     def from_seed(cls, master_seed: int) -> "RandomStream":
         return cls((master_seed,))
 
     def child(self, label: str, index: int = 0) -> "RandomStream":
-        """Derive an independent stream named by (label, index)."""
+        """Derive an independent stream named by (label, index); the parent
+        draws nothing."""
         return RandomStream(self._path + (zlib.crc32(label.encode("ascii")), index))
 
     @property
@@ -45,15 +50,26 @@ class RandomStream:
     def master_seed(self) -> int:
         return self._path[0]
 
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            # The uint32 words SeedSequence makes of list(path): each entry's
+            # words, low first, at least one per entry. Handing it the array
+            # skips its slower conversion of Python ints.
+            words = [w for x in self._path for w in ((x & _MASK32, x >> 32) if x >> 32 else (x,))]
+            self._gen = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(np.array(words, np.uint32)))
+            )
+        return self._gen
+
     # Thin passthroughs to the underlying generator.
     def random(self, size=None):
-        return self._gen.random(size)
+        return self._generator().random(size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
+        return self._generator().uniform(low, high, size)
 
     def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size)
+        return self._generator().integers(low, high, size)
 
     def __repr__(self):
         return f"RandomStream(path={self._path})"

@@ -28,8 +28,9 @@ def run_record(seed, trials_per_ref_s, trace=0):
 
 def test_main_writes_runs_summary_and_stage_rows(bench_file, tmp_path, monkeypatch):
     monkeypatch.setattr(bench_file, "STAGES", {
-        "30": (30, 2, bench_file.FIG3),
-        "60 sparse": (60, 2, bench_file.SPARSE),
+        "30": (30, 1, 2, bench_file.FIG3, 0),
+        "60 sparse": (60, 1, 2, bench_file.SPARSE, 0),
+        "30 x3 rlnc": (30, 3, 2, bench_file.FIG3, 4),
     })
     records = []
     for k, value in enumerate([10.0, 12.0, 11.0]):
@@ -47,11 +48,14 @@ def test_main_writes_runs_summary_and_stage_rows(bench_file, tmp_path, monkeypat
     assert summary["trials_per_ref_s"] == {"median": 11.0, "q1": 10.5, "q3": 11.5, "runs": 3}
     assert summary["trials_per_s"]["median"] == 22.0
     rows = doc["stages"]["medians"]
-    assert list(rows) == ["30", "60 sparse"]
+    assert list(rows) == ["30", "60 sparse", "30 x3 rlnc"]
     assert rows["60 sparse"]["n"] == 60 and rows["60 sparse"]["model"]["r_prime"] == 0.05
     for row in rows.values():
         assert row["graphs"] == 2 and row["build_ms"] > 0 and row["min_cut_ms"] > 0
         assert row["mean_degree"] >= 0
+    assert "rlnc_ms" not in rows["30"] and rows["30"]["terminals"] == 1
+    coding = rows["30 x3 rlnc"]
+    assert (coding["terminals"], coding["coding_trials"]) == (3, 4) and coding["rlnc_ms"] > 0
 
 
 def test_main_rejects_traced_records(bench_file, tmp_path):
@@ -63,11 +67,11 @@ def test_main_rejects_traced_records(bench_file, tmp_path):
 
 def test_parent_src_alternates_the_trees_and_keeps_both_medians(bench_file, tmp_path,
                                                                 monkeypatch):
-    monkeypatch.setattr(bench_file, "STAGES", {"30": (30, 2, bench_file.FIG3)})
+    monkeypatch.setattr(bench_file, "STAGES", {"30": (30, 1, 2, bench_file.FIG3, 0)})
     monkeypatch.setattr(bench_file, "STAGE_ROUNDS", 4)
     calls = []
 
-    def fake_child(src, n, count, fields):
+    def fake_child(src, *row):
         calls.append(src.name)
         # The parent's graphs take 4 and 6 ms to build in every round; the
         # change's 2 and 3 ms, except in round 3, where it is slower.
@@ -96,13 +100,13 @@ def test_parent_src_alternates_the_trees_and_keeps_both_medians(bench_file, tmp_
 def test_parent_src_times_each_tree_in_its_own_process(bench_file, tmp_path, monkeypatch):
     # The same tree on both sides, timed for real: the subprocesses import it
     # and both rows of medians come back.
-    monkeypatch.setattr(bench_file, "STAGES", {"30": (30, 2, bench_file.FIG3)})
+    monkeypatch.setattr(bench_file, "STAGES", {"30 x2 rlnc": (30, 2, 2, bench_file.FIG3, 4)})
     monkeypatch.setattr(bench_file, "STAGE_ROUNDS", 2)
     src = TOOL.parent.parent / "src"
     stages = bench_file.stage_medians(src, src)
-    row = stages["medians"]["30"]
+    row = stages["medians"]["30 x2 rlnc"]
     assert row["rounds"] == 2 and row["mean_degree"] == row["parent_mean_degree"]
-    for stage in ("build", "min_cut"):
+    for stage in ("build", "min_cut", "rlnc"):
         assert row[f"{stage}_ms"] > 0 and row[f"parent_{stage}_ms"] > 0
         assert row[f"{stage}_ratio"] > 0
         assert 0 <= row[f"{stage}_faster_rounds"] <= 2

@@ -153,6 +153,17 @@ class TestRunExperiment:
         assert obj["provenance"]["config"]["n_relays"] == 30
 
 
+class TestConfigCounts:
+    @pytest.mark.parametrize("name", ["trials", "rlnc_trials"])
+    @pytest.mark.parametrize("value", [0, -3, True, False, 2.0, "4", None])
+    def test_counts_must_be_positive_integers(self, name, value):
+        # The config refuses these before any graph is built. A bool is an
+        # int to Python: it would run and write `true` into the provenance.
+        # The error names the field at fault.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            small_config(rlnc_check=True, **{name: value})
+
+
 class TestAuditBounds:
     def test_fig3_family_dominance(self):
         config = small_config(

@@ -64,6 +64,22 @@ class TestFieldArithmetic:
             for b in range(2):
                 assert GF2.mul[a][b] == a & b
 
+    def test_times_matches_the_product_table_for_every_pair(self):
+        for field in (GF256, GF2):
+            a, b = np.divmod(np.arange(field.order ** 2), field.order)
+            a, b = a.astype(np.uint8), b.astype(np.uint8)
+            product = field.times(a, b)
+            assert product.dtype == np.uint8
+            assert np.array_equal(product, field.mul[a, b])
+            # Broadcast shapes: a column against a row, and a stack of
+            # matrices against a stack of row vectors.
+            col, row = a[:, None], b[None, :300]
+            assert np.array_equal(field.times(col, row), field.mul[col, row])
+            x = np.resize(a, 24).reshape(2, 3, 4)
+            y = np.resize(b[::-1], 8).reshape(2, 1, 4)
+            assert field.times(x, y).dtype == np.uint8
+            assert np.array_equal(field.times(x, y), field.mul[x, y])
+
     def test_log_exp_tables_cover_all_nonzero_elements(self):
         assert sorted(EXP[:255]) == list(range(1, 256))
         assert LOG[1] == 0

@@ -787,6 +787,33 @@ class TestFlowEngines:
         assert chosen == ["_bitset_flow", "_bitset_flow", "_csr_flow", "_csr_flow",
                           "_csr_flow", "_bitset_flow"]
 
+    def test_shared_rows_leak_nothing_between_terminals(self):
+        # The bitset engine packs a graph's rows once and every terminal's
+        # flow starts from them: no flow may see another's changes, so the
+        # order of the terminals and a fresh graph object change nothing.
+        graphs = [build_connectivity_graph(200, 2 + seed % 3, FIG3, RandomStream.from_seed(seed))
+                  for seed in range(9)]
+        graphs += [random_graph(seed, n_relays=30, n_terminals=2 + seed % 3)
+                   for seed in range(9)]
+        for g in graphs:
+            fresh = {t: min_cut(from_edges(g.n_relays, g.n_terminals, g.edges), t).flow
+                     for t in g.terminal_ids}
+            forward = {t: min_cut(g, t).flow for t in g.terminal_ids}
+            backward = {t: min_cut(g, t).flow for t in reversed(g.terminal_ids)}
+            for t in g.terminal_ids:
+                assert_same_flow(forward[t], fresh[t])
+                assert_same_flow(backward[t], fresh[t])
+                assert_same_flow(_csr_flow(g, t), fresh[t])
+            # A dense network's flows ran on the rows and left them packed.
+            dense = -(-g.n_nodes // 64) * g.n_nodes <= 2 * len(g.edges)
+            assert ("_rows" in vars(g)) == dense
+            assert g._rows == _oracle_rows(g)
+        # A lone terminal's flow packs its own rows and keeps none on the graph.
+        lone = build_connectivity_graph(2000, 1, FIG3, RandomStream.from_seed(1))
+        assert_same_flow(min_cut(lone, lone.terminal_ids[0]).flow,
+                         _csr_flow(lone, lone.terminal_ids[0]))
+        assert "_rows" not in vars(lone)
+
     def test_cancellation_from_the_upper_endpoint(self):
         # The mirror of test_replay_across_a_cancelled_arc: phase 1 routes
         # s-2-1-t, from the upper endpoint of edge 1-2; phase 2 reaches 1 by
@@ -816,13 +843,14 @@ class TestFlowEngines:
         assert cut_capacity(g, 6, cut.partition_vk) == cut.capacity == 2
 
 
-def _oracle_rows(graph, terminal):
+def _oracle_rows(graph):
     """The residual rows before any flow, from Python sets of the edges:
-    source -> relay, relay <-> relay and relay -> terminal arcs."""
+    source -> relay, relay <-> relay and relay -> terminal arcs, into every
+    terminal."""
     relays = set(graph.relay_ids)
     arcs = set()
     for i, j in graph.edge_list():
-        if i == 0 or j in relays or j == terminal:
+        if i == 0 or j in relays or j in graph.terminal_ids:
             arcs.add((i, j))
         if i in relays and j in relays:
             arcs.add((j, i))
@@ -858,8 +886,7 @@ class TestResidualRows:
         assert any(whole) and not all(whole)
         assert any(20 * len(g.edges) < g.n_nodes for g in graphs)  # one row a block
         for g in graphs:
-            for t in g.terminal_ids:
-                assert _residual_rows(g, t) == _oracle_rows(g, t), (g.n_nodes, len(g.edges), t)
+            assert _residual_rows(g) == _oracle_rows(g), (g.n_nodes, len(g.edges))
         assert_engines_agree(graphs)
 
     def test_packing_memory_just_above_the_engine_switch(self):
@@ -879,14 +906,14 @@ class TestResidualRows:
         assert -(-n // 64) * n <= 2 * len(g.edges) < -(-n // 64) * n + 200
         tracemalloc.start()
         try:
-            rows = _residual_rows(g, n - 1)
+            rows = _residual_rows(g)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         arcs = sum(row.bit_count() for row in rows)
         assert 60_000 < arcs <= 2 * len(g.edges)
         assert peak - retained <= 16 * arcs
-        assert rows == _oracle_rows(g, n - 1)
+        assert rows == _oracle_rows(g)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import hashlib
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qrggsim import (
@@ -250,6 +251,24 @@ def reference_successes(graph, dag, trials, rng, field):
             for matrix in ([vectors[e] for e in dag.in_arcs[t]] for t in graph.terminal_ids)
         )
     return successes
+
+
+class TestMergedDraw:
+    def test_one_call_draws_what_the_coefficient_and_message_calls_drew(self):
+        # verify_achievability draws a trial's coefficients and its message
+        # in one call; the reference checker keeps the two calls.
+        rnd = np.random.default_rng(18)
+        for k in range(200):
+            field = GF2 if k % 2 else GF256
+            lows = rnd.integers(0, 2, size=rnd.integers(0, 301))
+            h = int(rnd.integers(1, 41))
+            one, two = RandomStream((18, k)), RandomStream((18, k))
+            merged = one.integers(np.concatenate([lows, np.zeros(h, lows.dtype)]), field.order)
+            split = np.concatenate([two.integers(lows, field.order),
+                                    two.integers(0, field.order, size=h)])
+            assert np.array_equal(merged, split), k
+            # Both streams stand at the same place after the draw.
+            assert one.random() == two.random()
 
 
 class TestBlockedCheckMatchesReference:

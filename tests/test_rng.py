@@ -36,3 +36,39 @@ def test_path_records_derivation():
 def test_empty_path_rejected():
     with pytest.raises(ValueError):
         RandomStream(())
+
+
+MASK64 = 2**64 - 1
+
+
+@pytest.mark.parametrize("path", [
+    (0,),
+    (2**32 - 1, 0),
+    (2**32, 7),
+    (5, 2**63, 0),
+    (2**64 - 1, 2**64 - 1),
+    (-1, 3),
+    (11, -(2**40), 2**32 + 5),
+])
+def test_draws_are_those_of_the_seed_sequence_of_the_path(path):
+    # The contract: a stream draws what numpy seeds from the list of its
+    # path's entries, each masked to 64 bits.
+    stream = RandomStream(path)
+    ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        [x & MASK64 for x in path])))
+    assert stream.path == tuple(x & MASK64 for x in path)
+    assert np.array_equal(stream.random(5), ref.random(5))
+    assert np.array_equal(stream.integers(0, 256, size=7), ref.integers(0, 256, size=7))
+    assert np.array_equal(stream.integers([1, 0, 1], 256), ref.integers([1, 0, 1], 256))
+    assert np.array_equal(stream.uniform(-2.0, 3.0, 4), ref.uniform(-2.0, 3.0, 4))
+    assert stream.random() == ref.random()
+
+
+def test_deriving_a_child_draws_nothing_from_the_parent():
+    plain, deriving = RandomStream.from_seed(3), RandomStream.from_seed(3)
+    deriving.child("trial", 0)  # before the parent's first draw
+    assert np.array_equal(plain.random(4), deriving.random(4))
+    child = deriving.child("rlnc", 2)  # between two draws
+    assert np.array_equal(plain.integers(0, 9, size=6), deriving.integers(0, 9, size=6))
+    # Nor does the child depend on when it was derived.
+    assert np.array_equal(child.random(3), RandomStream.from_seed(3).child("rlnc", 2).random(3))

@@ -9,11 +9,14 @@ every run, its workload, seed, provenance, end-to-end metrics and wall
 the median time of the build and `min_cut` stages (one terminal) at n = 200,
 1000 and 2000 with the fig3 radii and at n = 5000 with sparse radii (mean
 degree about 24, so `min_cut` takes the CSR engine), measured on the sources
-under `--src`. With `--parent-src`, each stage row is timed on both source
-trees in alternating subprocesses, STAGE_ROUNDS rounds each, and the row
-keeps both medians, the median over rounds of the round's `--src`/parent
-ratio and the rounds in which `--src` was faster, so a stage comparison
-does not move with the host.
+under `--src`. The "200 x4 rlnc" row is the multicast trial: the fig3 radii
+at n = 200 with 4 terminals, `min_cut` for all of them, then the
+random-coding check on those cuts (`verify_achievability`, 64 coding
+trials) as its `rlnc` stage. With `--parent-src`, each stage row is timed
+on both source trees in alternating subprocesses, STAGE_ROUNDS rounds each,
+and the row keeps both medians, the median over rounds of the round's
+`--src`/parent ratio and the rounds in which `--src` was faster, so a stage
+comparison does not move with the host.
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("trials_per_ref_s", "setup_s", "peak_rss_mb")
 FIG3 = {"r": 0.1, "r_prime": 0.2, "kernel": "fixed", "p": 0.5}
 SPARSE = {"r": 0.025, "r_prime": 0.05, "kernel": "fixed", "p": 0.5}
-# row -> (n, graphs timed, model); seeds STAGE_SEED, STAGE_SEED + 1, ...
-STAGES = {"200": (200, 200, FIG3), "1000": (1000, 30, FIG3), "2000": (2000, 15, FIG3),
-          "5000 sparse": (5000, 15, SPARSE)}
+# row -> (n, terminals, graphs timed, model, coding trials, 0 for no coding
+# check); seeds STAGE_SEED, STAGE_SEED + 1, ...
+STAGES = {"200": (200, 1, 200, FIG3, 0), "1000": (1000, 1, 30, FIG3, 0),
+          "2000": (2000, 1, 15, FIG3, 0), "5000 sparse": (5000, 1, 15, SPARSE, 0),
+          "200 x4 rlnc": (200, 4, 60, FIG3, 64)}
 STAGE_SEED = 777
 STAGE_ROUNDS = 10
 
@@ -45,30 +50,40 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
-def stage_times(src: str, n: int, count: int, fields: dict) -> dict:
-    """Per-graph build and `min_cut` seconds of one stage row, on the
-    qrggsim under `src`, and the mean degree of the graphs timed."""
+def stage_times(src: str, n: int, terminals: int, count: int, fields: dict,
+                coding_trials: int) -> dict:
+    """Per-graph seconds of each stage of one stage row, on the qrggsim
+    under `src`: the build, `min_cut` for every terminal and, with coding
+    trials, the coding check on those cuts (`rlnc`); and the mean degree of
+    the graphs timed."""
     sys.path.insert(0, src)
-    from qrggsim import ConnectionModel, RandomStream, build_connectivity_graph, min_cut
+    from qrggsim import (ConnectionModel, RandomStream, build_connectivity_graph, min_cut,
+                         verify_achievability)
 
     model = ConnectionModel.from_json(fields)
-    build, cut, degree = [], [], []
+    times, degree = {"build": [], "min_cut": []}, []
     for seed in range(STAGE_SEED, STAGE_SEED + count):
+        stream = RandomStream.from_seed(seed)
         t0 = time.perf_counter()
-        g = build_connectivity_graph(n, 1, model, RandomStream.from_seed(seed))
+        g = build_connectivity_graph(n, terminals, model, stream)
         t1 = time.perf_counter()
-        min_cut(g, g.terminal_ids[0])
-        cut.append(time.perf_counter() - t1)
-        build.append(t1 - t0)
+        cuts = [min_cut(g, t) for t in g.terminal_ids]
+        t2 = time.perf_counter()
+        times["build"].append(t1 - t0)
+        times["min_cut"].append(t2 - t1)
+        if coding_trials:
+            verify_achievability(g, coding_trials, stream.child("rlnc"), cuts=cuts)
+            times.setdefault("rlnc", []).append(time.perf_counter() - t2)
         degree.append(2 * len(g.edges) / g.n_nodes)
-    return {"build": build, "min_cut": cut, "mean_degree": statistics.mean(degree)}
+    return {**times, "mean_degree": statistics.mean(degree)}
 
 
-def time_in_child(src: Path, n: int, count: int, fields: dict) -> dict:
-    """stage_times in a fresh interpreter, which imports only that tree."""
+def time_in_child(src: Path, *row) -> dict:
+    """stage_times of a STAGES row in a fresh interpreter, which imports only
+    that tree."""
     code = ("import json, sys, bench_file; "
             "print(json.dumps(bench_file.stage_times(*json.loads(sys.argv[1]))))")
-    spec = json.dumps([str(Path(src).resolve()), n, count, fields])
+    spec = json.dumps([str(Path(src).resolve()), *row])
     done = subprocess.run([sys.executable, "-c", code, spec], cwd=Path(__file__).parent,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
@@ -80,15 +95,16 @@ def stage_medians(src: Path, parent_src: Path | None = None) -> dict:
     sides = {"": src} if parent_src is None else {"parent_": parent_src, "": src}
     rounds = 1 if parent_src is None else STAGE_ROUNDS
     out = {}
-    for row, (n, count, fields) in STAGES.items():
+    for row, spec in STAGES.items():
+        n, terminals, count, fields, coding_trials = spec
         runs = {side: [] for side in sides}
         for k in range(rounds):
             # Alternate which tree goes first, so neither always runs warmer.
             for side in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
-                runs[side].append(time_in_child(sides[side], n, count, fields))
-        out[row] = {"n": n, "model": fields, "graphs": count,
-                    "mean_degree": runs[""][0]["mean_degree"]}
-        for stage in ("build", "min_cut"):
+                runs[side].append(time_in_child(sides[side], *spec))
+        out[row] = {"n": n, "terminals": terminals, "model": fields, "graphs": count,
+                    "coding_trials": coding_trials, "mean_degree": runs[""][0]["mean_degree"]}
+        for stage in ("build", "min_cut") + (("rlnc",) if coding_trials else ()):
             for side, timed in runs.items():
                 # Pooled over rounds: every graph timed in every round.
                 out[row][f"{side}{stage}_ms"] = statistics.median(
@@ -103,7 +119,7 @@ def stage_medians(src: Path, parent_src: Path | None = None) -> dict:
         if parent_src is not None:
             out[row]["rounds"] = rounds
             out[row]["parent_mean_degree"] = runs["parent_"][0]["mean_degree"]
-    return {"terminals": 1, "first_seed": STAGE_SEED,
+    return {"first_seed": STAGE_SEED,
             "python": platform.python_version(), "numpy": numpy.__version__,
             "medians": out}
 
