@@ -16,11 +16,19 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, _sig6, cut_tail_bound, full_report, upper_bound_report
-from .graph import build_connectivity_graph, min_cut, write_json_atomic
+from .bounds import BoundReport, _sig6, cut_tail_bound, full_report
+from .graph import _is_int, build_connectivity_graph, min_cut, write_json_atomic
 from .model import ConnectionModel, KERNEL_LINEAR_DECAY
 from .rlnc import verify_achievability
 from .rng import RandomStream
+
+
+def _require_int(name: str, value, least: int | None = None):
+    """Refuse a value that is not an int, or is a bool (an int to Python: it
+    would run, and write `true` into the provenance), or is below `least`."""
+    if not _is_int(value) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,12 +44,13 @@ class ExperimentConfig:
     rlnc_trials: int = 8
 
     def __post_init__(self):
-        for name in ("trials", "rlnc_trials"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
-        if self.histogram_bins is not None and self.histogram_bins < 1:
-            raise ValueError("histogram_bins must be >= 1")
+        # Checked before any trial runs, each error naming its field.
+        for name, least in (("n_relays", 2), ("n_terminals", 1), ("trials", 1),
+                            ("rlnc_trials", 1)):
+            _require_int(name, getattr(self, name), least)
+        _require_int("master_seed", self.master_seed)
+        if self.histogram_bins is not None:
+            _require_int("histogram_bins", self.histogram_bins, 1)
         for eps in self.audit_epsilons:
             if not 0.0 < eps < 1.0:
                 raise ValueError("audit epsilons must lie in (0, 1)")
@@ -204,8 +213,8 @@ def audit_bounds(result: ExperimentResult, epsilons: list[float]) -> list[dict]:
         threshold = (1.0 - eps) * e_c0
         observed = sum(1 for c in result.per_trial_source_cut if c < threshold) / trials
         rows.append(row("lower_tail_k0", eps, observed, bound))
-    eps_u, _, fail_u, vacuous = upper_bound_report(report.n, report.p_prime)
-    if vacuous:
+    eps_u, fail_u = report.epsilon_upper, report.upper_fail_prob
+    if report.vacuous_upper:
         rows.append({
             "kind": "upper_capacity",
             "epsilon": _sig6(eps_u),

@@ -687,22 +687,33 @@ def graph_to_json(graph: ConnectivityGraph) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """An int and not a bool, which Python counts as an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def graph_from_json(obj: dict) -> ConnectivityGraph:
     """Graph from its JSON document; a malformed document raises ValueError."""
     try:
         n_relays = obj["n_relays"]
-        if not isinstance(n_relays, int) or isinstance(n_relays, bool):
+        if not _is_int(n_relays):
             raise ValueError(f"n_relays must be an integer, not {n_relays!r}")
         seed = obj.get("seed")
-        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        if seed is not None and not _is_int(seed):
             raise ValueError(f"seed must be an integer or null, not {seed!r}")
-        terminals = obj["terminals"]
+        terminals, edges = obj["terminals"], obj["edges"]
+        # A bool would pass as 0 or 1 both the terminal ids' comparison and
+        # the integer edge array it joins.
+        if not all(_is_int(t) for t in terminals):
+            raise ValueError(f"terminals must hold integers only, not {terminals!r}")
+        if not all(_is_int(x) for row in edges for x in row):
+            raise ValueError("edges must hold integers only")
         first_t = 1 + n_relays
         if not terminals or terminals != list(range(first_t, first_t + len(terminals))):
             raise ValueError(f"terminals must be the ids that follow the relays, from {first_t}")
         model = None if obj.get("model") is None else ConnectionModel.from_json(obj["model"])
         return from_edges(
-            n_relays, len(terminals), obj["edges"], positions=obj.get("positions") or None,
+            n_relays, len(terminals), edges, positions=obj.get("positions") or None,
             model=model, seed=seed,
         )
     except (KeyError, TypeError) as exc:

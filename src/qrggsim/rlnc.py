@@ -81,25 +81,16 @@ def build_coding_dag(graph: ConnectivityGraph, rate: int, cuts=None):
     when None.
 
     Returns a CodingDag when the union is acyclic, a CyclicSkip diagnostic
-    otherwise (including the direct conflict of one edge used both ways).
+    with the cycle the topological sort found otherwise; an edge used both
+    ways puts both arcs in the union, a cycle of two nodes.
     """
     if rate < 0:
         raise ValueError("rate must be non-negative")
     cuts = _terminal_cuts(graph, cuts)
     if any(cut.capacity < rate for cut in cuts):
         raise ValueError("rate exceeds the multicast capacity")
-    flows = [cut.flow.paths(rate) for cut in cuts]
-
-    orientation: dict[tuple[int, int], tuple[int, int]] = {}
-    for paths in flows:
-        for path in paths:
-            for u, v in zip(path, path[1:]):
-                key = (min(u, v), max(u, v))
-                if key in orientation and orientation[key] != (u, v):
-                    return CyclicSkip(cycle=(u, v))
-                orientation[key] = (u, v)
-
-    arcs = tuple(sorted(orientation.values()))
+    arcs = tuple(sorted({(u, v) for cut in cuts for path in cut.flow.paths(rate)
+                         for u, v in zip(path, path[1:])}))
     out_arcs: dict[int, list[int]] = {}
     in_arcs: dict[int, list[int]] = {}
     sorter = TopologicalSorter()
@@ -181,19 +172,13 @@ def _global_vectors(dag: CodingDag, plan, coeffs: np.ndarray, field) -> np.ndarr
     return vectors
 
 
-def _count_decoded(vectors: np.ndarray, msgs: np.ndarray, in_arcs: np.ndarray, field) -> int:
-    """How many coding trials of a block every terminal decodes: the
-    end-to-end identity of encoding each trial's h source symbols through the
-    global vectors, solving each terminal's system and comparing with the
-    originals. A singular system fails. `in_arcs` is (terminals, h)."""
-    trials, h = msgs.shape
-    matrices = vectors[:, in_arcs]
-    received = np.bitwise_xor.reduce(field.times(matrices, msgs[:, None, None, :]), axis=3)
-    systems = np.concatenate([matrices, received[..., None]], axis=3).reshape(-1, h, h + 1)
-    ranks = _row_reduce(systems, h, field).reshape(trials, -1)
-    solved = systems[:, :, h].reshape(trials, -1, h)
-    ok = (ranks == h) & (solved == msgs[:, None, :]).all(axis=2)
-    return int(ok.all(axis=1).sum())
+def _count_decoded(vectors: np.ndarray, in_arcs: np.ndarray, field) -> int:
+    """How many coding trials of a block every terminal decodes: those whose
+    terminals' h x h transfer matrices, their in-arc vectors, all have full
+    rank. `in_arcs` is (terminals, h)."""
+    trials, h = len(vectors), in_arcs.shape[1]
+    ranks = _row_reduce(vectors[:, in_arcs].reshape(-1, h, h), h, field)
+    return int((ranks.reshape(trials, -1) == h).all(axis=1).sum())
 
 
 def verify_achievability(
@@ -228,19 +213,14 @@ def verify_achievability(
         )
     plan, lows = _coding_plan(dag, graph.source)
     in_arcs = np.array([dag.in_arcs[t] for t in graph.terminal_ids])
-    # A trial draws its coefficients, then its h message symbols, in one
-    # call: numpy takes one 32-bit word per bounded value on its
-    # array-bound and scalar-bound paths alike, so the values are those of
-    # node-by-node draws of the coefficients followed by the symbols.
-    bounds = np.concatenate([lows, np.zeros(h, lows.dtype)])
     successes = 0
     for first in range(0, trials, CODING_BLOCK):
         block = range(first, min(first + CODING_BLOCK, trials))
-        draws = np.empty((len(block), len(bounds)), dtype=np.uint8)
+        coeffs = np.empty((len(block), len(lows)), dtype=np.uint8)
         for row, i in enumerate(block):
-            draws[row] = rng.child("rlnc-trial", i).integers(bounds, field.order)
-        vectors = _global_vectors(dag, plan, draws[:, :len(lows)], field)
-        successes += _count_decoded(vectors, draws[:, len(lows):], in_arcs, field)
+            coeffs[row] = rng.child("rlnc-trial", i).integers(lows, field.order)
+        vectors = _global_vectors(dag, plan, coeffs, field)
+        successes += _count_decoded(vectors, in_arcs, field)
     return AchievabilityReport(
         h=h, trials=trials, success_fraction=successes / trials,
         cyclic_skipped=False, field_poly=field.poly,

@@ -90,6 +90,19 @@ class TestExitCodes:
             assert code == 1
             assert "error" in err
 
+    def test_booleans_in_edges_or_terminals_are_validation_errors(self, capsys, tmp_path):
+        # Both exited 0: the first with its first row read as edge (0, 1),
+        # the second with terminal 1.
+        bad = tmp_path / "bad.json"
+        for doc in [
+            {"n_relays": 2, "terminals": [3], "edges": [[False, True], [True, 2], [2, 3]]},
+            {"n_relays": 0, "terminals": [True], "edges": []},
+        ]:
+            bad.write_text(json.dumps(doc))
+            code, _, err = run_cli(capsys, "capacity", "--graph", str(bad))
+            assert code == 1
+            assert "must hold integers only" in err
+
 
 class TestGenerateAndCapacity:
     def test_round_trip(self, capsys, tmp_path):

@@ -163,6 +163,35 @@ class TestConfigCounts:
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
             small_config(rlnc_check=True, **{name: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("n_relays", 1, "an integer >= 2"),
+        ("n_relays", 0, "an integer >= 2"),
+        ("n_relays", True, "an integer >= 2"),
+        ("n_relays", 30.0, "an integer >= 2"),
+        ("n_terminals", 0, "an integer >= 1"),
+        ("n_terminals", 2.0, "an integer >= 1"),
+        ("n_terminals", True, "an integer >= 1"),
+        ("master_seed", 1.5, "an integer"),
+        ("master_seed", True, "an integer"),
+        ("master_seed", "5", "an integer"),
+        ("master_seed", None, "an integer"),
+        ("histogram_bins", 0, "an integer >= 1"),
+        ("histogram_bins", 2.5, "an integer >= 1"),
+        ("histogram_bins", True, "an integer >= 1"),
+    ])
+    def test_graph_sizes_seed_and_bins_are_integers(self, name, value, message):
+        # Each of these used to fail only after the trials ran (n_relays=1
+        # in the bound report, a float size or bin count inside a trial) or
+        # to run silently, a float or bool seed as an int and a bool bin
+        # count as one bin, writing the raw value into the provenance.
+        with pytest.raises(ValueError, match=f"^{name} must be {message}, not "):
+            small_config(**{name: value})
+
+    def test_least_valid_values_run(self):
+        config = small_config(n_relays=2, n_terminals=1, trials=1, master_seed=-1,
+                              histogram_bins=1)
+        assert run_experiment(config).histogram_counts == [1]
+
 
 class TestAuditBounds:
     def test_fig3_family_dominance(self):

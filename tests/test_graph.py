@@ -579,6 +579,26 @@ class TestJson:
             with pytest.raises(ValueError):
                 graph_from_json({**obj, key: None})
 
+    def test_load_rejects_non_integers_in_edges_and_terminals(self):
+        # A bool joins an integer edge array as 0 or 1, and [True] equals
+        # [1] in the terminal ids' comparison, so both used to load.
+        doc = {"n_relays": 2, "terminals": [3], "edges": [[0, 1], [1, 2], [2, 3]]}
+        graph_from_json(doc)
+        for key, value in [
+            ("edges", [[False, True], [True, 2], [2, 3]]),
+            ("edges", [[0, 1], [1, 2], [2, True]]),
+            ("edges", [[0, 1], [1, 2.0], [2, 3]]),
+            ("edges", [[0, 1], [1, "2"], [2, 3]]),
+            ("terminals", [True]),
+            ("terminals", [3.0]),
+        ]:
+            with pytest.raises(ValueError, match=f"^{key} must hold integers only"):
+                graph_from_json({**doc, key: value})
+        no_relay = {"n_relays": 0, "terminals": [1], "edges": []}
+        graph_from_json(no_relay)
+        with pytest.raises(ValueError, match="^terminals must hold integers only"):
+            graph_from_json({**no_relay, "terminals": [True]})
+
 
 def _flow_record(graphs) -> str:
     """sha256 over each terminal's cut certificate and chosen paths."""

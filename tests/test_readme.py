@@ -1,6 +1,7 @@
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -25,3 +26,29 @@ def test_library_quickstart_runs():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert len(out.stdout.splitlines()) == 5
+
+
+def command_lines() -> list[str]:
+    """The commands of the README's "Command line" block, each with its
+    backslash continuations joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return block.replace("\\\n", " ").splitlines()
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # In order, in one directory: the later commands read what the earlier
+    # ones wrote. `--jobs 4` is capped at the CPU count.
+    from qrggsim.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QRGG_SEED", raising=False)
+    lines = command_lines()
+    assert len(lines) == 8
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "qrggsim"
+        assert main(argv) == 0, (line, capsys.readouterr().err)
+    assert {"g.json", "result.json", "trials.csv", "hist.csv", "hist.svg"} <= {
+        p.name for p in tmp_path.iterdir()}
