@@ -99,6 +99,32 @@ def _row_reduce(a: np.ndarray, ncols: int, field: Field) -> np.ndarray:
     return rank
 
 
+def _full_rank(a: np.ndarray, field: Field) -> np.ndarray:
+    """Which matrices of a stack of square ones have full rank. `a` is a
+    uint8 array of shape (n, n, B), matrix b being a[:, :, b], and is used
+    as scratch. Forward elimination on the trailing block: where a diagonal
+    entry is zero, the first nonzero row below it is swapped up, and a
+    matrix with no such row is singular; then only the rows below the
+    diagonal are eliminated. Returns B booleans."""
+    n = len(a)
+    full = np.ones(a.shape[2], dtype=bool)
+    for col in range(n):
+        zero = np.flatnonzero(a[col, col] == 0)
+        if zero.size:
+            below = a[col:, col, zero] != 0
+            found = below.any(axis=0)
+            full[zero[~found]] = False
+            swap, rows = zero[found], col + below[:, found].argmax(axis=0)
+            top = a[rows, col:, swap]
+            a[rows, col:, swap] = a[col, col:, swap]
+            a[col, col:, swap] = top
+        if col + 1 < n:
+            top = a[col, col:]
+            factor = field.times(a[col + 1:, col], field.inv[top[0]])
+            a[col + 1:, col + 1:] ^= field.times(factor[:, None], top[1:])
+    return full
+
+
 def matrix_rank(rows: list[list[int]], field: Field = GF256) -> int:
     """Rank via exact Gaussian elimination over the field."""
     if not len(rows):

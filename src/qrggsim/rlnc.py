@@ -19,9 +19,9 @@ from graphlib import CycleError, TopologicalSorter
 import numpy as np
 
 from .bounds import _sig6
-from .gf256 import GF256, _row_reduce
+from .gf256 import GF256, _full_rank
 from . import graph as _graph
-from .graph import ConnectivityGraph, CutResult
+from .graph import ConnectivityGraph, CutResult, _is_int
 # Unused here but bound in this module, where the benchmark's tracer wraps them.
 from .gf256 import matrix_rank, solve_linear_system  # noqa: F401
 from .graph import edge_disjoint_paths, multicast_capacity  # noqa: F401
@@ -30,6 +30,11 @@ from .rng import RandomStream
 # Coding trials run together as one numpy pass per block of this many, which
 # bounds the memory of a check of any length.
 CODING_BLOCK = 64
+# Within a block, the draws and each DAG level's products go in chunks of at
+# most about this many cells, so that no temporary reaches glibc's 128 KiB
+# mmap threshold: freeing a larger block raises that threshold for the rest
+# of the process.
+CHUNK_CELLS = 16384
 
 
 def xor_relay_demo(b1: int, b2: int) -> tuple[int, int]:
@@ -135,40 +140,127 @@ class AchievabilityReport:
 
 
 def _coding_plan(dag: CodingDag, source: int):
-    """The coding nodes in topological order, each as (in-arcs, out-arcs,
-    the slice of its coefficients), the source's in-arcs None; and the lower
-    bounds of their coefficient draws, one per coefficient, as one array in
-    that order.
+    """The coding DAG one level at a time, and the lower bounds of the
+    coefficient draws, one per coefficient, as one array.
 
     Node u mixes its n_in in-vectors into each out-arc with n_in local
-    coefficients (the source mixes the h unit vectors). Single-in-arc nodes
-    draw nonzero scalars so a lone zero never causes a spurious rank drop;
-    multi-in-arc nodes draw uniformly over the field.
+    coefficients (the source mixes the h unit vectors). The coefficients
+    follow topological order: a node whose first is `start` gives out-arc j
+    the coefficients start + j*n_in + k, k over its in-arcs. Single-in-arc
+    nodes draw nonzero scalars so a lone zero never causes a spurious rank
+    drop; multi-in-arc nodes draw uniformly over the field.
+
+    A node's depth is its longest path from the source. Level d is
+    (out, ins, cols): the arcs whose tail is at depth d and, per arc, its
+    tail's in-arcs and their coefficients, two (arcs, width) index arrays
+    padded to the level's widest node with the zero arc, len(dag.arcs), and
+    the zero coefficient, len(lows). The source's level has ins None.
     """
-    plan, lows = [], []
+    zero_arc, tails = len(dag.arcs), [u for u, _ in dag.arcs]
+    wide = max([len(dag.in_arcs[u]) for u in dag.out_arcs if u != source], default=0)
+    # Per arc, in topological order: the arc, its tail's in-arcs padded to
+    # `wide`, their count and the tail's depth.
+    depth, out_arcs, in_arcs, n_ins, depths = {}, [], [], [], []
     for node in dag.topo_order:
         out = dag.out_arcs.get(node)
-        if out:
-            ins = None if node == source else dag.in_arcs[node]
-            n_in = dag.rate if ins is None else len(ins)
-            plan.append((ins, out, slice(len(lows), len(lows) + n_in * len(out))))
-            lows += [int(n_in == 1)] * (n_in * len(out))
-    return plan, np.array(lows)
+        if not out:
+            continue
+        if node == source:
+            ins, n_in, d = [], dag.rate, 0
+        else:
+            ins = dag.in_arcs[node]
+            n_in, d = len(ins), 1 + max([depth[tails[arc]] for arc in ins])
+        depth[node] = d
+        out_arcs += out
+        in_arcs += (ins + [zero_arc] * (wide - len(ins))) * len(out)
+        n_ins += [n_in] * len(out)
+        depths += [d] * len(out)
+    fan_in = np.array(n_ins)
+    lows = np.repeat((fan_in == 1).astype(np.int64), fan_in)
+    k = np.arange(max(wide, dag.rate))
+    firsts = np.cumsum(fan_in) - fan_in
+    cols = np.where(k < fan_in[:, None], firsts[:, None] + k, len(lows))
+    # Stable by depth, so each level keeps topological order.
+    order = np.argsort(depths, kind="stable")
+    out, fan_in, cols = np.array(out_arcs)[order], fan_in[order], cols[order]
+    ins = np.array(in_arcs, dtype=np.intp).reshape(len(out), wide)[order]
+    stops = np.cumsum(np.bincount(depths)).tolist()
+    widths = np.maximum.reduceat(fan_in, [0] + stops[:-1]).tolist()
+    plan = [(out[:stops[0]], None, cols[:stops[0], :dag.rate])]
+    plan += [(out[a:b], ins[a:b, :w], cols[a:b, :w])
+             for a, b, w in zip(stops, stops[1:], widths[1:])]
+    return plan, lows
+
+
+def _from_words(words: np.ndarray, lows: np.ndarray, field):
+    """Coefficients from uint32 words by numpy's Lemire rule, as
+    `Generator.integers(lows, field.order)` turns its words into values:
+    `words` is (trials, len(lows)), each low spanning span = order - low > 1
+    values. The value is low + (x * span >> 32), here in uint32: x >> (32 - k)
+    for a span 2^k (low 0), and 1 + hi - (lo < x) for a span 2^k - 1 (low 1),
+    with hi = x >> (32 - k) and lo = x << k, since x * span = hi * 2^32 +
+    lo - x. Numpy rejects a word, and draws another, when x * span mod 2^32
+    is below (2^32 - span) mod span: never for a span 2^k, and for GF(256)'s
+    span 255 only when x = 0. Returns the values and which trials have a
+    rejected word."""
+    k = field.order.bit_length() - 1
+    values = words >> (32 - k)
+    ones = lows == 1
+    if not ones.any():
+        return values, np.zeros(len(words), dtype=bool)
+    lo = words << k
+    values += ones & (lo >= words)
+    span = field.order - 1
+    rejected = ((lo - words) < (2**32 - span) % span) & ones
+    return values, rejected.any(axis=1)
+
+
+def _coefficients(rng: RandomStream, block: range, lows: np.ndarray, field) -> np.ndarray:
+    """The local coefficients of a block of coding trials, a
+    (len(lows) + 1, T) uint8 array whose last row is zero. Trial i's column
+    is what rng.child("rlnc-trial", i).integers(lows, field.order) draws:
+    each coefficient spanning more than one value takes the stream's next
+    uint32 word, the low half of a raw 64-bit output first, as numpy takes
+    them. A trial with a word numpy would reject is drawn by `integers`."""
+    spans = field.order - lows
+    drawn = np.flatnonzero(spans > 1)
+    coeffs = np.zeros((len(lows) + 1, len(block)), dtype=np.uint8)
+    coeffs[:-1][spans == 1] = lows[spans == 1, None]
+    if not drawn.size:
+        return coeffs
+    n_raw = (drawn.size + 1) // 2
+    step = max(1, CHUNK_CELLS // (2 * n_raw))
+    for first in range(0, len(block), step):
+        trials = block[first:first + step]
+        raw = rng.children_raw("rlnc-trial", trials, n_raw)
+        words = raw.astype("<u8", copy=False).view("<u4")[:, :drawn.size]
+        values, rejected = _from_words(words, lows[drawn], field)
+        coeffs[drawn, first:first + len(trials)] = values.T
+        for row in np.flatnonzero(rejected):
+            coeffs[:-1, first + row] = rng.child("rlnc-trial", trials[row]).integers(
+                lows, field.order)
+    return coeffs
 
 
 def _global_vectors(dag: CodingDag, plan, coeffs: np.ndarray, field) -> np.ndarray:
-    """Global coding vectors of a block of coding trials, a (T, arcs, h)
-    uint8 array, from their local coefficients `coeffs`, a (T, len(lows))
-    array laid out as _coding_plan orders them."""
-    vectors = np.empty((len(coeffs), len(dag.arcs), dag.rate), dtype=np.uint8)
-    for ins, out, cols in plan:
-        c = coeffs[:, cols].reshape(len(coeffs), len(out), -1)
+    """Global coding vectors of a block of T coding trials, an
+    (arcs + 1, h, T) uint8 array whose last arc is the zero arc, from their
+    local coefficients `coeffs` (_coefficients). Each level is one gather,
+    one product and one XOR reduction over its in-arcs, over at most about
+    CHUNK_CELLS products at a time."""
+    h, trials = dag.rate, coeffs.shape[1]
+    vectors = np.empty((len(dag.arcs) + 1, h, trials), dtype=np.uint8)
+    vectors[-1] = 0
+    for out, ins, cols in plan:
         if ins is None:
             # The source mixes the unit vectors: its coefficients are the vectors.
-            vectors[:, out] = c
-        else:
-            products = field.times(c[..., None], vectors[:, ins][:, None])
-            vectors[:, out] = np.bitwise_xor.reduce(products, axis=2)
+            vectors[out] = coeffs[cols]
+            continue
+        step = max(1, CHUNK_CELLS // (ins.shape[1] * h * trials))
+        for k in range(0, len(out), step):
+            c = coeffs[cols[k:k + step], None]
+            products = field.times(c, vectors[ins[k:k + step]])
+            vectors[out[k:k + step]] = np.bitwise_xor.reduce(products, axis=1)
     return vectors
 
 
@@ -176,9 +268,11 @@ def _count_decoded(vectors: np.ndarray, in_arcs: np.ndarray, field) -> int:
     """How many coding trials of a block every terminal decodes: those whose
     terminals' h x h transfer matrices, their in-arc vectors, all have full
     rank. `in_arcs` is (terminals, h)."""
-    trials, h = len(vectors), in_arcs.shape[1]
-    ranks = _row_reduce(vectors[:, in_arcs].reshape(-1, h, h), h, field)
-    return int((ranks.reshape(trials, -1) == h).all(axis=1).sum())
+    h, trials = vectors.shape[1:]
+    # Stacked (h, h, terminals * T), each matrix transposed: entry [j, i] is
+    # entry j of in-arc i's vector, and the rank is the same.
+    full = _full_rank(vectors.transpose(1, 0, 2)[:, in_arcs.T].reshape(h, h, -1), field)
+    return int(full.reshape(-1, trials).all(axis=0).sum())
 
 
 def verify_achievability(
@@ -196,8 +290,8 @@ def verify_achievability(
     Each terminal has exactly h in-arcs: build_coding_dag routes h
     edge-disjoint paths into it, and no other terminal's flow touches it.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not _is_int(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, not {trials!r}")
     cuts = _terminal_cuts(graph, cuts)
     h = min(cut.capacity for cut in cuts)
     if h == 0:
@@ -216,9 +310,7 @@ def verify_achievability(
     successes = 0
     for first in range(0, trials, CODING_BLOCK):
         block = range(first, min(first + CODING_BLOCK, trials))
-        coeffs = np.empty((len(block), len(lows)), dtype=np.uint8)
-        for row, i in enumerate(block):
-            coeffs[row] = rng.child("rlnc-trial", i).integers(lows, field.order)
+        coeffs = _coefficients(rng, block, lows, field)
         vectors = _global_vectors(dag, plan, coeffs, field)
         successes += _count_decoded(vectors, in_arcs, field)
     return AchievabilityReport(

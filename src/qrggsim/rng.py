@@ -42,6 +42,19 @@ class RandomStream:
         draws nothing."""
         return RandomStream(self._path + (zlib.crc32(label.encode("ascii")), index))
 
+    def children_raw(self, label: str, indices, size: int) -> np.ndarray:
+        """The first `size` raw 64-bit outputs of the bit generator of each
+        child (label, i), i in `indices`: one uint64 row per child, what
+        child(label, i) would hand out, without building the children."""
+        prefix = self._path + (zlib.crc32(label.encode("ascii")),)
+        prefix = [w for x in prefix for w in ((x & _MASK32, x >> 32) if x >> 32 else (x,))]
+        raw = np.empty((len(indices), size), dtype=np.uint64)
+        for row, i in enumerate(indices):
+            i = int(i) & _MASK64
+            words = np.array(prefix + ([i & _MASK32, i >> 32] if i >> 32 else [i]), np.uint32)
+            raw[row] = np.random.PCG64(np.random.SeedSequence(words)).random_raw(size)
+        return raw
+
     @property
     def path(self):
         return self._path

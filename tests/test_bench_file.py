@@ -66,7 +66,7 @@ def test_main_rejects_traced_records(bench_file, tmp_path):
 
 
 def test_parent_src_alternates_the_trees_and_keeps_both_medians(bench_file, tmp_path,
-                                                                monkeypatch):
+                                                                monkeypatch, capsys):
     monkeypatch.setattr(bench_file, "STAGES", {"30": (30, 1, 2, bench_file.FIG3, 0)})
     monkeypatch.setattr(bench_file, "STAGE_ROUNDS", 4)
     calls = []
@@ -94,6 +94,10 @@ def test_parent_src_alternates_the_trees_and_keeps_both_medians(bench_file, tmp_
     assert row["build_ms"] == pytest.approx(3.0)  # of 2, 3 (three rounds) and 4, 6
     assert row["build_ratio"] == pytest.approx(0.5)  # of 0.5 (three rounds) and 1
     assert (row["build_faster_rounds"], row["min_cut_faster_rounds"]) == (3, 3)
+    # 3 of 4: the tails 0, 1 and 3, 4 hold 10 of the 16 outcomes.
+    assert row["build_sign_p"] == row["min_cut_sign_p"] == pytest.approx(10 / 16)
+    printed = capsys.readouterr().out
+    assert "30 build: ratio 0.500, faster in 3 of 4 rounds, sign-test p 0.625" in printed
     assert row["mean_degree"] == row["parent_mean_degree"] == 5.0
 
 
@@ -110,3 +114,12 @@ def test_parent_src_times_each_tree_in_its_own_process(bench_file, tmp_path, mon
         assert row[f"{stage}_ms"] > 0 and row[f"parent_{stage}_ms"] > 0
         assert row[f"{stage}_ratio"] > 0
         assert 0 <= row[f"{stage}_faster_rounds"] <= 2
+        assert row[f"{stage}_sign_p"] in (0.5, 1.0)
+
+
+@pytest.mark.parametrize("faster,rounds,p", [
+    (10, 10, 2 / 1024), (0, 10, 2 / 1024), (9, 10, 22 / 1024), (8, 10, 112 / 1024),
+    (5, 10, 1.0), (4, 10, 772 / 1024), (1, 1, 1.0), (0, 0, 1.0), (20, 20, 2 / 2**20),
+])
+def test_sign_test_p_is_the_exact_two_sided_binomial_tail(bench_file, faster, rounds, p):
+    assert bench_file.sign_test_p(faster, rounds) == pytest.approx(p)

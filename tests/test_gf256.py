@@ -10,6 +10,7 @@ from qrggsim.gf256 import (
     GF256,
     LOG,
     REDUCTION_POLY,
+    _full_rank,
     _row_reduce,
     matrix_rank,
     solve_linear_system,
@@ -129,21 +130,23 @@ def xor_basis_rank(rows) -> int:
     return len(basis)
 
 
-def known_rank_matrix(rnd, nrows: int, ncols: int, rank: int):
+def known_rank_matrix(rnd, nrows: int, ncols: int, rank: int, order: int = 256):
     """A GF(256) matrix of the given rank, built with the bitwise multiply:
     `rank` echelon rows with nonzero pivots and the rest zero, then mixed by
-    row scalings, additions of multiples and swaps, which keep the rank."""
+    row scalings, additions of multiples and swaps, which keep the rank.
+    With order 2 every entry and multiplier is 0 or 1: a GF(2) matrix, whose
+    rank over GF(2) is the same."""
     m = [[0] * ncols for _ in range(nrows)]
     for r, c in enumerate(sorted(rnd.sample(range(ncols), rank))):
-        m[r][c] = rnd.randrange(1, 256)
-        m[r][c + 1:] = [rnd.randrange(256) for _ in range(ncols - c - 1)]
+        m[r][c] = rnd.randrange(1, order)
+        m[r][c + 1:] = [rnd.randrange(order) for _ in range(ncols - c - 1)]
     for _ in range(3 * nrows):
         i, j = rnd.randrange(nrows), rnd.randrange(nrows)
         if i == j:
-            c = rnd.randrange(1, 256)
+            c = rnd.randrange(1, order)
             m[i] = [gf_mul_reference(c, x) for x in m[i]]
         else:
-            c = rnd.randrange(256)
+            c = rnd.randrange(order)
             m[i] = [x ^ gf_mul_reference(c, y) for x, y in zip(m[i], m[j])]
             m[i], m[j] = m[j], m[i]
     return m
@@ -195,3 +198,21 @@ class TestStackedRowReduce:
                         acc ^= gf_mul_reference(c, v)
                     assert acc == y
                 assert solve_linear_system(m, b) == x
+
+
+class TestFullRank:
+    def test_agrees_with_the_rank_on_mixed_stacks(self):
+        rnd = random.Random(14)
+        for field in (GF256, GF2):
+            for h in range(1, 15):
+                # Full-rank and singular matrices in one stack, shuffled.
+                ranks = [0, h - 1, h] * 6 + [h] * 10
+                rnd.shuffle(ranks)
+                mats = [known_rank_matrix(rnd, h, h, r, field.order) for r in ranks]
+                stack = np.array(mats, dtype=np.uint8)
+                assert stack.max() < field.order
+                expected = (_row_reduce(stack.copy(), h, field) == h).tolist()
+                assert expected == [r == h for r in ranks]
+                # Matrices last: (h, h, B).
+                full = _full_rank(stack.transpose(1, 2, 0).copy(), field)
+                assert full.dtype == bool and full.tolist() == expected

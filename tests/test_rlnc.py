@@ -2,6 +2,7 @@ import hashlib
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qrggsim import (
@@ -169,6 +170,12 @@ class TestVerifyAchievability:
         with pytest.raises(ValueError):
             verify_achievability(butterfly_graph(), 0, RandomStream.from_seed(1))
 
+    @pytest.mark.parametrize("trials", [True, 2.5, "8", None])
+    def test_trials_must_be_an_int_and_not_a_bool(self, trials):
+        # True would run one trial and report "trials": true.
+        with pytest.raises(ValueError, match="trials"):
+            verify_achievability(butterfly_graph(), trials, RandomStream.from_seed(1))
+
 
 def _rlnc_record(graphs):
     """sha256 over each graph's coding DAG (or cyclic flag) and its
@@ -317,3 +324,91 @@ class TestCodingMemory:
         peak_unblocked, unblocked = traced_peak(check)
         assert unblocked == report
         assert peak_unblocked > bound
+
+
+def lemire_reference(word: int, low: int, order: int):
+    """numpy's bounded draw of one uint32 word in Python ints: the value
+    low + word * span >> 32, and whether numpy rejects the word."""
+    span = order - low
+    return low + (word * span >> 32), (word * span) % 2**32 < (2**32 - span) % span
+
+
+class TestCoefficientDraws:
+    """A block's coefficients, made from raw words, are what each trial's
+    own stream draws with `integers(lows, order)`."""
+
+    @staticmethod
+    def integers_reference(rng, block, lows, field):
+        return np.array([rng.child("rlnc-trial", i).integers(lows, field.order)
+                         for i in block]).T
+
+    def test_words_follow_numpys_rule_and_rejection(self):
+        rnd = np.random.default_rng(3)
+        edges = [0, 1, 2, 2**24 - 1, 2**24, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1]
+        words = np.concatenate([edges, rnd.integers(0, 2**32, 3000)]).astype(np.uint32)
+        for field, lows in ((GF256, (0, 1)), (GF2, (0,))):
+            for low in lows:
+                values, rejected = rlnc._from_words(words[:, None], np.array([low]), field)
+                expected = [lemire_reference(int(x), low, field.order) for x in words]
+                assert values[:, 0].tolist() == [v for v, _ in expected]
+                assert rejected.tolist() == [r for _, r in expected]
+                # Only the zero word is ever rejected, and only for span 255.
+                assert rejected.tolist() == [low == 1 and x == 0 for x in words.tolist()]
+
+    @pytest.mark.parametrize("field", [GF256, GF2])
+    def test_block_matches_integers_on_every_stream(self, field):
+        rnd = np.random.default_rng(4)
+        rng = RandomStream.from_seed(17).child("trial", 5).child("rlnc")
+        streams, parities = 0, set()
+        # Coefficient counts giving odd and even word counts, and one long
+        # enough that a block's draws go in several chunks.
+        for n in (1, 2, 7, 30, 31, 287, 2 * rlnc.CHUNK_CELLS // 25 + 1):
+            lows = (rnd.random(n) < 0.4).astype(np.int64)
+            parities.add(np.count_nonzero(field.order - lows > 1) % 2)
+            for first in (0, 64, 128, 320, 1001):
+                block = range(first, first + CODING_BLOCK - (first == 128))
+                coeffs = rlnc._coefficients(rng, block, lows, field)
+                assert coeffs.dtype == np.uint8 and coeffs.shape == (n + 1, len(block))
+                assert not coeffs[-1].any()
+                assert np.array_equal(coeffs[:-1], self.integers_reference(rng, block, lows, field))
+                streams += len(block)
+        assert parities == {0, 1}
+        assert streams >= 2000
+
+    def test_gf2_lows_of_one_take_no_word(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a word")
+
+        monkeypatch.setattr(RandomStream, "children_raw", no_draw)
+        rng, lows = RandomStream.from_seed(2), np.ones(9, dtype=np.int64)
+        coeffs = rlnc._coefficients(rng, range(CODING_BLOCK), lows, GF2)
+        assert coeffs[:-1].tolist() == [[1] * CODING_BLOCK] * 9 and not coeffs[-1].any()
+        monkeypatch.undo()
+        assert np.array_equal(coeffs[:-1], self.integers_reference(rng, range(CODING_BLOCK),
+                                                                   lows, GF2))
+
+    def test_a_rejected_word_sends_only_its_trial_to_integers(self, monkeypatch):
+        rng = RandomStream.from_seed(8)
+        lows = np.array([0, 1, 1, 0, 1])  # span 255 at coefficients 1, 2 and 4
+        victim = 6
+        raw_draws, integers = RandomStream.children_raw, RandomStream.integers
+        fallbacks = []
+
+        def crafted(self, label, indices, size):
+            raw = raw_draws(self, label, indices, size)
+            if victim in indices:
+                # Coefficient 2 is word 2: the low half of the second output.
+                raw[indices.index(victim), 1] &= np.uint64(0xFFFFFFFF00000000)
+            return raw
+
+        def spy(self, *args, **kwargs):
+            fallbacks.append(self.path)
+            return integers(self, *args, **kwargs)
+
+        monkeypatch.setattr(RandomStream, "children_raw", crafted)
+        monkeypatch.setattr(RandomStream, "integers", spy)
+        coeffs = rlnc._coefficients(rng, range(CODING_BLOCK), lows, GF256)
+        assert fallbacks == [rng.child("rlnc-trial", victim).path]
+        monkeypatch.undo()
+        assert np.array_equal(coeffs[:-1], self.integers_reference(rng, range(CODING_BLOCK),
+                                                                   lows, GF256))

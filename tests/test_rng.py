@@ -64,6 +64,19 @@ def test_draws_are_those_of_the_seed_sequence_of_the_path(path):
     assert stream.random() == ref.random()
 
 
+@pytest.mark.parametrize("path", [(0,), (2**32 + 1, 5), (-3, 2**63)])
+def test_children_raw_are_the_childrens_raw_outputs(path):
+    stream = RandomStream(path)
+    indices = [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1, -1]
+    raw = stream.children_raw("rlnc-trial", indices, 5)
+    assert raw.dtype == np.uint64 and raw.shape == (len(indices), 5)
+    for row, i in zip(raw, indices):
+        child = stream.child("rlnc-trial", i)
+        ref = np.random.PCG64(np.random.SeedSequence(list(child.path)))
+        assert np.array_equal(row, ref.random_raw(5))
+    assert stream.children_raw("rlnc-trial", range(3, 3), 4).shape == (0, 4)
+
+
 def test_deriving_a_child_draws_nothing_from_the_parent():
     plain, deriving = RandomStream.from_seed(3), RandomStream.from_seed(3)
     deriving.child("trial", 0)  # before the parent's first draw
