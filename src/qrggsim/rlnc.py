@@ -1,12 +1,14 @@
 """Random linear network coding over flow-induced acyclic orientations.
 
 Achievability checker for the min-cut multicast capacity: each terminal's h
-edge-disjoint paths are the first h augmenting paths of its min-cut flow,
-replayed; their orientations are unioned into a DAG, and random local
-coefficients are propagated as global coding vectors. A terminal decodes
-iff its h incoming vectors have full rank over the field.
+edge-disjoint paths are the first h augmenting paths of its min-cut flow.
+The arcs those paths take more often than their reverse, read off the
+flows' hops, are unioned into a DAG; one topological sweep orders it and
+levels it by depth, and random local coefficients are propagated as global
+coding vectors. A terminal decodes iff its h incoming vectors have full
+rank over the field.
 
-Undirected flow unions can be cyclic; cyclic instances are detected and
+Undirected flow unions can be cyclic; the sweep stalls on them, and they are
 reported as a CyclicSkip diagnostic rather than coded convolutionally.
 """
 
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import asdict, dataclass
-from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
@@ -48,13 +49,29 @@ def xor_relay_demo(b1: int, b2: int) -> tuple[int, int]:
     return decoded_at_x, decoded_at_y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodingDag:
+    """The union of the terminals' flow paths, oriented, and its coding plan.
+
+    Node u mixes its n_in in-vectors (the source: the `rate` unit vectors)
+    into out-arc j with the coefficients start + j*n_in + k, k over its
+    in-arcs, the nodes taking their `start`s in topo_order. `lows` holds
+    their lower bounds: 1 for single-in-arc nodes, so a lone zero never
+    causes a spurious rank drop, and 0 for the rest.
+
+    A node's depth is its longest path from the source. levels[d] is
+    (out, ins, cols): the arcs whose tail is at depth d and, per arc, its
+    tail's in-arcs and their coefficients, two (arcs, width) index arrays
+    padded to the level's widest node with the zero arc, len(arcs), and the
+    zero coefficient, len(lows). The source's level has ins None.
+    """
+
     rate: int
-    topo_order: tuple[int, ...]
-    arcs: tuple[tuple[int, int], ...]           # (tail, head), index = arc id
-    in_arcs: dict                                # node -> list of arc ids
-    out_arcs: dict                               # node -> list of arc ids
+    arcs: np.ndarray           # (arcs, 2) rows (tail, head), sorted; row = arc id
+    topo_order: np.ndarray     # the nodes, smallest ready node first
+    levels: list
+    lows: np.ndarray
+    terminal_arcs: np.ndarray  # (terminals, rate): each terminal's in-arcs
 
 
 @dataclass(frozen=True)
@@ -83,48 +100,82 @@ def build_coding_dag(graph: ConnectivityGraph, rate: int, cuts=None):
     """Orient each flow-used edge and union across terminals. The paths are
     the first `rate` augmenting paths of each terminal's min-cut flow:
     `cuts`, min_cut's result per terminal in terminal order, or computed
-    when None.
+    when None. Edge u-v is an arc u -> v when they hop u -> v more often
+    than v -> u: opposite hops cancel, as the flow's units do.
 
-    Returns a CodingDag when the union is acyclic, a CyclicSkip diagnostic
-    with the cycle the topological sort found otherwise; an edge used both
-    ways puts both arcs in the union, a cycle of two nodes.
+    One topological sweep, smallest ready node first (the coefficient draws
+    follow this order), orders the nodes and gives each its depth. Returns a
+    CodingDag when the union is acyclic, and otherwise a CyclicSkip with a
+    cycle among the nodes the sweep did not reach; an edge used both ways
+    puts both arcs in the union, a cycle of two nodes.
     """
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
+    if not _is_int(rate) or rate < 0:
+        raise ValueError(f"rate must be an integer >= 0, not {rate!r}")
     cuts = _terminal_cuts(graph, cuts)
     if any(cut.capacity < rate for cut in cuts):
         raise ValueError("rate exceeds the multicast capacity")
-    arcs = tuple(sorted({(u, v) for cut in cuts for path in cut.flow.paths(rate)
-                         for u, v in zip(path, path[1:])}))
-    out_arcs: dict[int, list[int]] = {}
-    in_arcs: dict[int, list[int]] = {}
-    sorter = TopologicalSorter()
-    for idx, (u, v) in enumerate(arcs):
-        out_arcs.setdefault(u, []).append(idx)
-        in_arcs.setdefault(v, []).append(idx)
-        sorter.add(v, u)
-    try:
-        sorter.prepare()
-    except CycleError as exc:
-        return CyclicSkip(cycle=tuple(exc.args[1][:-1]))  # first node repeats last
-    # Smallest ready node first: the coefficient draws follow this order.
-    ready = list(sorter.get_ready())
-    heapq.heapify(ready)
-    order = []
+    n, keys = graph.n_nodes, set()
+    for cut in cuts:
+        bounds = (0, *cut.flow.ends)  # path k: the source, then hops[bounds[k]:bounds[k + 1]]
+        heads = cut.flow.hops[:bounds[rate]].astype(np.int64)
+        tails = heads[np.arange(len(heads)) - 1]
+        tails[list(bounds[:rate])] = graph.source  # where a path starts
+        hops, which = np.unique(np.concatenate([tails * n + heads, heads * n + tails]),
+                                return_inverse=True)
+        net = np.bincount(which, np.repeat([1, -1], len(heads)), len(hops))
+        keys.update(hops[net > 0].tolist())
+    arcs = np.stack(np.divmod(np.array(sorted(keys), np.int64), n), axis=1)
+
+    # Local node indices keep the node order, and the arcs, sorted by tail,
+    # are their own out-arc CSR.
+    nodes, local = np.unique(arcs, return_inverse=True)
+    tail, head = local.reshape(-1, 2).T
+    n_in = np.bincount(head, minlength=len(nodes))
+    indeg, succ = n_in.tolist(), head.tolist()
+    starts = np.searchsorted(tail, np.arange(len(nodes) + 1)).tolist()
+    depth, order = [0] * len(nodes), []
+    ready = [v for v, d in enumerate(indeg) if not d]
     while ready:
         u = heapq.heappop(ready)
         order.append(u)
-        sorter.done(u)
-        for v in sorter.get_ready():
-            heapq.heappush(ready, v)
+        d = depth[u] + 1
+        for v in succ[starts[u]:starts[u + 1]]:
+            depth[v] = max(depth[v], d)
+            indeg[v] -= 1
+            if not indeg[v]:
+                heapq.heappush(ready, v)
+    if len(order) < len(nodes):
+        # A node the sweep did not reach has an in-arc from another such
+        # node: walking back along those closes a cycle.
+        walk, v = {}, next(v for v, d in enumerate(indeg) if d)
+        while v not in walk:
+            walk[v] = len(walk)
+            v = next(u for u in tail[head == v].tolist() if indeg[u])
+        return CyclicSkip(cycle=tuple(nodes[list(walk)[walk[v]:][::-1]].tolist()))
 
-    return CodingDag(
-        rate=rate,
-        topo_order=tuple(order),
-        arcs=arcs,
-        in_arcs=in_arcs,
-        out_arcs=out_arcs,
-    )
+    # Per arc, in coefficient order (its tail's topological position, then
+    # arc id): its coefficient count and columns.
+    seq = np.argsort(np.argsort(order)[tail], kind="stable")
+    fan_in = np.where(nodes == graph.source, rate, n_in)[tail[seq]]
+    lows = np.repeat((fan_in == 1).astype(np.int64), fan_in)
+    k = np.arange(max(rate, n_in.max(initial=0)))
+    firsts = np.cumsum(fan_in) - fan_in
+    cols = np.where(k < fan_in[:, None], firsts[:, None] + k, len(lows))
+    # Each node's in-arcs (the in-arc CSR), padded with the zero arc.
+    by_head = np.append(np.argsort(head, kind="stable"), len(arcs))
+    ins = by_head[np.where(k < n_in[:, None], (np.cumsum(n_in) - n_in)[:, None] + k, len(arcs))]
+    # Stable by depth, so each level keeps topological order.
+    arc_depth = np.array(depth, np.intp)[tail]
+    by_depth = np.argsort(arc_depth[seq], kind="stable")
+    out, fan_in, cols = seq[by_depth], fan_in[by_depth], cols[by_depth]
+    stops = np.cumsum(np.bincount(arc_depth)).tolist()
+    levels = []
+    for a, b in zip([0, *stops], stops):
+        w = fan_in[a:b].max()
+        levels.append((out[a:b], ins[tail[out[a:b]], :w] if a else None, cols[a:b, :w]))
+    # Rows broadcast against columns: at rate 0, with no nodes, no row is read.
+    terminals = np.searchsorted(nodes, graph.terminal_ids)[:, None]
+    return CodingDag(rate, arcs, nodes[order], levels, lows, ins[terminals, np.arange(rate)])
 
 
 @dataclass(frozen=True)
@@ -137,59 +188,6 @@ class AchievabilityReport:
 
     def to_json(self) -> dict:
         return {name: _sig6(value) for name, value in asdict(self).items()}
-
-
-def _coding_plan(dag: CodingDag, source: int):
-    """The coding DAG one level at a time, and the lower bounds of the
-    coefficient draws, one per coefficient, as one array.
-
-    Node u mixes its n_in in-vectors into each out-arc with n_in local
-    coefficients (the source mixes the h unit vectors). The coefficients
-    follow topological order: a node whose first is `start` gives out-arc j
-    the coefficients start + j*n_in + k, k over its in-arcs. Single-in-arc
-    nodes draw nonzero scalars so a lone zero never causes a spurious rank
-    drop; multi-in-arc nodes draw uniformly over the field.
-
-    A node's depth is its longest path from the source. Level d is
-    (out, ins, cols): the arcs whose tail is at depth d and, per arc, its
-    tail's in-arcs and their coefficients, two (arcs, width) index arrays
-    padded to the level's widest node with the zero arc, len(dag.arcs), and
-    the zero coefficient, len(lows). The source's level has ins None.
-    """
-    zero_arc, tails = len(dag.arcs), [u for u, _ in dag.arcs]
-    wide = max([len(dag.in_arcs[u]) for u in dag.out_arcs if u != source], default=0)
-    # Per arc, in topological order: the arc, its tail's in-arcs padded to
-    # `wide`, their count and the tail's depth.
-    depth, out_arcs, in_arcs, n_ins, depths = {}, [], [], [], []
-    for node in dag.topo_order:
-        out = dag.out_arcs.get(node)
-        if not out:
-            continue
-        if node == source:
-            ins, n_in, d = [], dag.rate, 0
-        else:
-            ins = dag.in_arcs[node]
-            n_in, d = len(ins), 1 + max([depth[tails[arc]] for arc in ins])
-        depth[node] = d
-        out_arcs += out
-        in_arcs += (ins + [zero_arc] * (wide - len(ins))) * len(out)
-        n_ins += [n_in] * len(out)
-        depths += [d] * len(out)
-    fan_in = np.array(n_ins)
-    lows = np.repeat((fan_in == 1).astype(np.int64), fan_in)
-    k = np.arange(max(wide, dag.rate))
-    firsts = np.cumsum(fan_in) - fan_in
-    cols = np.where(k < fan_in[:, None], firsts[:, None] + k, len(lows))
-    # Stable by depth, so each level keeps topological order.
-    order = np.argsort(depths, kind="stable")
-    out, fan_in, cols = np.array(out_arcs)[order], fan_in[order], cols[order]
-    ins = np.array(in_arcs, dtype=np.intp).reshape(len(out), wide)[order]
-    stops = np.cumsum(np.bincount(depths)).tolist()
-    widths = np.maximum.reduceat(fan_in, [0] + stops[:-1]).tolist()
-    plan = [(out[:stops[0]], None, cols[:stops[0], :dag.rate])]
-    plan += [(out[a:b], ins[a:b, :w], cols[a:b, :w])
-             for a, b, w in zip(stops, stops[1:], widths[1:])]
-    return plan, lows
 
 
 def _from_words(words: np.ndarray, lows: np.ndarray, field):
@@ -242,7 +240,7 @@ def _coefficients(rng: RandomStream, block: range, lows: np.ndarray, field) -> n
     return coeffs
 
 
-def _global_vectors(dag: CodingDag, plan, coeffs: np.ndarray, field) -> np.ndarray:
+def _global_vectors(dag: CodingDag, coeffs: np.ndarray, field) -> np.ndarray:
     """Global coding vectors of a block of T coding trials, an
     (arcs + 1, h, T) uint8 array whose last arc is the zero arc, from their
     local coefficients `coeffs` (_coefficients). Each level is one gather,
@@ -251,7 +249,7 @@ def _global_vectors(dag: CodingDag, plan, coeffs: np.ndarray, field) -> np.ndarr
     h, trials = dag.rate, coeffs.shape[1]
     vectors = np.empty((len(dag.arcs) + 1, h, trials), dtype=np.uint8)
     vectors[-1] = 0
-    for out, ins, cols in plan:
+    for out, ins, cols in dag.levels:
         if ins is None:
             # The source mixes the unit vectors: its coefficients are the vectors.
             vectors[out] = coeffs[cols]
@@ -287,8 +285,10 @@ def verify_achievability(
     terminals' min cuts: `cuts`, min_cut's result per terminal when the
     caller already has them, or else computed.
 
-    Each terminal has exactly h in-arcs: build_coding_dag routes h
-    edge-disjoint paths into it, and no other terminal's flow touches it.
+    The coding DAG is build_coding_dag's: the arcs of positive net hop count
+    over each terminal's first h augmenting paths, ordered and levelled by
+    one topological sweep. Each terminal has exactly h in-arcs: h
+    edge-disjoint paths end at it, and no other terminal's flow touches it.
     """
     if not _is_int(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, not {trials!r}")
@@ -305,14 +305,12 @@ def verify_achievability(
             h=h, trials=trials, success_fraction=0.0,
             cyclic_skipped=True, field_poly=field.poly,
         )
-    plan, lows = _coding_plan(dag, graph.source)
-    in_arcs = np.array([dag.in_arcs[t] for t in graph.terminal_ids])
     successes = 0
     for first in range(0, trials, CODING_BLOCK):
         block = range(first, min(first + CODING_BLOCK, trials))
-        coeffs = _coefficients(rng, block, lows, field)
-        vectors = _global_vectors(dag, plan, coeffs, field)
-        successes += _count_decoded(vectors, in_arcs, field)
+        coeffs = _coefficients(rng, block, dag.lows, field)
+        vectors = _global_vectors(dag, coeffs, field)
+        successes += _count_decoded(vectors, dag.terminal_arcs, field)
     return AchievabilityReport(
         h=h, trials=trials, success_fraction=successes / trials,
         cyclic_skipped=False, field_poly=field.poly,

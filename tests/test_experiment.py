@@ -79,14 +79,16 @@ class TestRunTrial:
         # imports it), and scipy about 0.4 s and 30 MB: a trial, coding
         # check included, must load neither, nor must a graph load that
         # dedupes reversed and repeated pairs. A fresh process sees what
-        # the trial itself imports.
+        # the trial itself imports; its trial has a capacity above 0 and an
+        # acyclic union, so the whole coding check runs.
         code = (
             "import sys\n"
             "from qrggsim import ConnectionModel, ExperimentConfig, from_edges, run_trial\n"
             "model = ConnectionModel(r=0.1, r_prime=0.2, kernel='fixed', p=0.5)\n"
             "config = ExperimentConfig(n_relays=60, n_terminals=2, model=model, trials=1,\n"
-            "                          master_seed=3, rlnc_check=True)\n"
-            "run_trial(config, 0)\n"
+            "                          master_seed=4, rlnc_check=True)\n"
+            "capacity, _, _, success, skipped = run_trial(config, 0)\n"
+            "assert capacity > 0 and success is not None and not skipped\n"
             "from_edges(2, 1, [[2, 1], [1, 2], [0, 1], [0, 1], [2, 3]])\n"
             "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.split('.')[0] == 'scipy'))\n"
         )

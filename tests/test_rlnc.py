@@ -1,6 +1,8 @@
 import hashlib
+import heapq
 import json
 import tracemalloc
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 import pytest
@@ -35,6 +37,45 @@ def assert_cycle_in_graph(skip, graph, min_nodes):
         assert (min(u, v), max(u, v)) in edges
 
 
+def dag_fields(dag):
+    """A CodingDag's arcs, order and plan as plain lists."""
+    return (dag.rate, dag.arcs.tolist(), dag.topo_order.tolist(),
+            [(out.tolist(), None if ins is None else ins.tolist(), cols.tolist())
+             for out, ins, cols in dag.levels],
+            dag.lows.tolist(), dag.terminal_arcs.tolist())
+
+
+def replay_arcs(cuts, h):
+    """The coding DAG's arcs by the path replay: the consecutive pairs of
+    each terminal's first h replayed flow paths, sorted."""
+    return sorted({(u, v) for cut in cuts for path in cut.flow.paths(h)
+                   for u, v in zip(path, path[1:])})
+
+
+def assert_directed_cycle(skip, arcs):
+    cycle = list(skip.cycle)
+    assert set(zip(cycle, cycle[1:] + cycle[:1])) <= set(arcs)
+
+
+def reference_order(arcs):
+    """graphlib's topological order of the arcs' nodes, smallest ready node
+    first; raises CycleError when the arcs have a cycle."""
+    sorter = TopologicalSorter()
+    for u, v in arcs:
+        sorter.add(v, u)
+    sorter.prepare()
+    ready = list(sorter.get_ready())
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        sorter.done(u)
+        for v in sorter.get_ready():
+            heapq.heappush(ready, v)
+    return order
+
+
 class TestXorRelayDemo:
     @pytest.mark.parametrize("b1,b2", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_both_sides_decode(self, b1, b2):
@@ -50,19 +91,35 @@ class TestBuildCodingDag:
         g = from_edges(1, 1, [(0, 1), (1, 2)])
         dag = build_coding_dag(g, 1)
         assert isinstance(dag, CodingDag)
-        assert dag.arcs == ((0, 1), (1, 2))
-        assert dag.topo_order == (0, 1, 2)
+        assert dag.arcs.tolist() == [[0, 1], [1, 2]]
+        assert dag.topo_order.tolist() == [0, 1, 2]
 
     def test_butterfly_orients_bottleneck_toward_terminals(self):
         g = butterfly_graph()
         dag = build_coding_dag(g, 2)
         assert isinstance(dag, CodingDag)
-        assert (3, 4) in dag.arcs  # mixing relay feeds the shared hop
-        # two edge-disjoint arcs into each terminal
-        assert sorted(len(dag.in_arcs[t]) for t in g.terminal_ids) == [2, 2]
+        arcs = dag.arcs.tolist()
+        assert [3, 4] in arcs  # mixing relay feeds the shared hop
+        # two edge-disjoint arcs into each terminal, in terminal order
+        assert dag.terminal_arcs.tolist() == [
+            [i for i, (_, v) in enumerate(arcs) if v == t] for t in g.terminal_ids]
+        assert dag.terminal_arcs.shape == (2, 2)
         # path enumeration: every arc head is reachable after its tail
-        pos = {v: i for i, v in enumerate(dag.topo_order)}
-        assert all(pos[u] < pos[v] for u, v in dag.arcs)
+        pos = {v: i for i, v in enumerate(dag.topo_order.tolist())}
+        assert all(pos[u] < pos[v] for u, v in arcs)
+
+    def test_rate_zero_gives_an_empty_dag(self):
+        dag = build_coding_dag(butterfly_graph(), 0)
+        assert isinstance(dag, CodingDag)
+        assert dag.arcs.shape == (0, 2) and dag.topo_order.size == 0
+        assert dag.levels == [] and dag.lows.size == 0
+        assert dag.terminal_arcs.shape == (2, 0)
+
+    @pytest.mark.parametrize("rate", [True, 1.5, "2", None, -1])
+    def test_rate_must_be_a_non_negative_int_and_not_a_bool(self, rate):
+        # True would build a rate-1 DAG that says rate=True.
+        with pytest.raises(ValueError, match="rate"):
+            build_coding_dag(butterfly_graph(), rate)
 
     def test_rate_above_capacity_rejected(self):
         g = butterfly_graph()
@@ -82,6 +139,57 @@ class TestBuildCodingDag:
         result = build_coding_dag(long_cycle_graph, 3)
         assert isinstance(result, CyclicSkip)
         assert_cycle_in_graph(result, long_cycle_graph, 3)
+        cuts = [min_cut(long_cycle_graph, t) for t in long_cycle_graph.terminal_ids]
+        assert_directed_cycle(result, replay_arcs(cuts, 3))
+
+    @pytest.mark.parametrize("first_hop", [1, 2])
+    def test_hops_that_cross_an_edge_both_ways_cancel(self, first_hop):
+        # The flows of test_graph's cancelled-arc tests: path 1 crosses edge
+        # 1-2 one way from relay `first_hop`, path 2 crosses it back, and
+        # path 3 takes a chain of its own. From two paths on, 1-2 carries no
+        # flow, so it is no arc of the DAG either way.
+        other = 3 - first_hop
+        edges = [(0, first_hop), (1, 2), (other, 15), (0, 3), (3, 4), (other, 4),
+                 (first_hop, 5), (5, 6), (6, 15), (0, 8), *[(k, k + 1) for k in range(8, 14)],
+                 (14, 15)]
+        g = from_edges(14, 1, edges)
+        cuts = [min_cut(g, 15)]
+        for rate in range(4):
+            arcs = [tuple(arc) for arc in build_coding_dag(g, rate, cuts).arcs.tolist()]
+            assert arcs == replay_arcs(cuts, rate)
+            assert ((first_hop, other) in arcs) == (rate == 1) and (other, first_hop) not in arcs
+
+
+class TestCodingDagMatchesReferences:
+    def test_arcs_order_and_cycles_over_a_fixed_graph_set(self):
+        # The arcs are the replayed paths' consecutive pairs (Flow.paths),
+        # the order graphlib's smallest-ready-first sort of them, and a
+        # cyclic union's reported cycle a directed cycle of those arcs.
+        small = ConnectionModel(r=0.2, r_prime=0.4, kernel="fixed", p=0.5)
+        fig3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
+        cases = [(n, tau, seed) for n, seeds in ((30, 60), (60, 60), (200, 60), (1000, 5))
+                 for tau in (2, 3, 4) for seed in range(seeds)]
+        acyclic = cyclic = 0
+        for n, tau, seed in cases:
+            model = small if n <= 60 else fig3
+            g = build_connectivity_graph(n, tau, model, RandomStream.from_seed(seed))
+            cuts = [min_cut(g, t) for t in g.terminal_ids]
+            h = min(cut.capacity for cut in cuts)
+            dag = build_coding_dag(g, h, cuts)
+            arcs = replay_arcs(cuts, h)
+            try:
+                order = reference_order(arcs)
+            except CycleError:
+                assert isinstance(dag, CyclicSkip), (n, tau, seed)
+                assert_cycle_in_graph(dag, g, 2)
+                assert_directed_cycle(dag, arcs)
+                cyclic += 1
+                continue
+            assert isinstance(dag, CodingDag), (n, tau, seed)
+            assert [tuple(arc) for arc in dag.arcs.tolist()] == arcs, (n, tau, seed)
+            assert dag.topo_order.tolist() == order, (n, tau, seed)
+            acyclic += 1
+        assert cyclic >= 40 and acyclic >= 400
 
 
 class TestVerifyAchievability:
@@ -152,7 +260,7 @@ class TestVerifyAchievability:
                 verify_achievability(g, 8, RandomStream.from_seed(1), cuts=bad)
             with pytest.raises(ValueError):
                 build_coding_dag(g, 2, bad)
-        assert build_coding_dag(g, 2, cuts) == build_coding_dag(g, 2)
+        assert dag_fields(build_coding_dag(g, 2, cuts)) == dag_fields(build_coding_dag(g, 2))
 
     def test_binary_field_fails_visibly_more_often(self):
         g = butterfly_graph()
@@ -187,7 +295,7 @@ def _rlnc_record(graphs):
             cyclic += 1
             records.append("cyclic")
         else:
-            records.append([list(dag.topo_order), [list(a) for a in dag.arcs]])
+            records.append([dag.topo_order.tolist(), dag.arcs.tolist()])
         for field in (GF256, GF2):
             report = verify_achievability(g, 8, RandomStream.from_seed(seed), field=field)
             records.append(report.to_json())
@@ -236,10 +344,14 @@ def reference_successes(graph, dag, trials, rng, field):
                     rows[i] = [x ^ m[y] for x, y in zip(rows[i], rows[col])]
         return [row[h] for row in rows]
 
-    nodes = [u for u in dag.topo_order if dag.out_arcs.get(u)]
-    n_ins = [h if u == graph.source else len(dag.in_arcs[u]) for u in nodes]
+    in_arcs, out_arcs = {}, {}
+    for arc, (u, v) in enumerate(dag.arcs.tolist()):
+        out_arcs.setdefault(u, []).append(arc)
+        in_arcs.setdefault(v, []).append(arc)
+    nodes = [u for u in dag.topo_order.tolist() if u in out_arcs]
+    n_ins = [h if u == graph.source else len(in_arcs[u]) for u in nodes]
     lows = [int(n_in == 1) for u, n_in in zip(nodes, n_ins)
-            for _ in range(n_in * len(dag.out_arcs[u]))]
+            for _ in range(n_in * len(out_arcs[u]))]
     units = [[int(i == j) for j in range(h)] for i in range(h)]
     successes = 0
     for i in range(trials):
@@ -247,14 +359,14 @@ def reference_successes(graph, dag, trials, rng, field):
         coeffs = stream.integers(lows, field.order).tolist()
         vectors, k = {}, 0
         for u, n_in in zip(nodes, n_ins):
-            ins = units if u == graph.source else [vectors[e] for e in dag.in_arcs[u]]
-            for arc in dag.out_arcs[u]:
+            ins = units if u == graph.source else [vectors[e] for e in in_arcs[u]]
+            for arc in out_arcs[u]:
                 vectors[arc] = combine(coeffs[k:k + n_in], ins)
                 k += n_in
         msg = stream.integers(0, field.order, size=h).tolist()
         successes += all(
             solve(matrix, combine(msg, list(zip(*matrix)))) == msg
-            for matrix in ([vectors[e] for e in dag.in_arcs[t]] for t in graph.terminal_ids)
+            for matrix in ([vectors[e] for e in in_arcs[t]] for t in graph.terminal_ids)
         )
     return successes
 
