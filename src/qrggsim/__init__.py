@@ -14,9 +14,7 @@ from .bounds import (
 )
 from .graph import (
     ConnectivityGraph,
-    brute_force_min_cut,
     build_connectivity_graph,
-    butterfly_graph,
     cut_capacity,
     edge_disjoint_paths,
     from_edges,
@@ -26,13 +24,11 @@ from .graph import (
     min_cut,
     multicast_capacity,
     save_graph,
-    wheatstone_graph,
 )
 from .model import (
     ConnectionModel,
     connection_probability,
     effective_annulus_p,
-    estimate_connection_probability,
     kernel_probability,
     p_prime_bounds,
     sample_points,
@@ -45,10 +41,6 @@ from .experiment import (
     run_sweep,
     run_trial,
 )
-from .rlnc import (
-    build_coding_dag,
-    verify_achievability,
-    xor_relay_demo,
-)
+from .rlnc import build_coding_dag, verify_achievability
 from .rng import RandomStream
 from .svgplot import histogram_svg

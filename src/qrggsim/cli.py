@@ -51,13 +51,9 @@ PRESETS = {
 }
 
 
-class CliError(Exception):
-    """Validation failure; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _add_model_flags(p):
@@ -72,19 +68,16 @@ def _add_model_flags(p):
 
 def _resolve_model(args) -> ConnectionModel:
     if args.r is None or args.r_prime is None:
-        raise CliError("--r and --r-prime are required")
+        raise ValueError("--r and --r-prime are required")
     if args.kernel == "fixed":
         if args.p is None:
-            raise CliError("--p is required with the fixed kernel")
+            raise ValueError("--p is required with the fixed kernel")
         kernel, prob = KERNEL_FIXED, args.p
     else:
         if args.p_connection is None:
-            raise CliError("--p-connection is required with --kernel linear-decay")
+            raise ValueError("--p-connection is required with --kernel linear-decay")
         kernel, prob = KERNEL_LINEAR_DECAY, args.p_connection
-    try:
-        return ConnectionModel(r=args.r, r_prime=args.r_prime, kernel=kernel, p=prob)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return ConnectionModel(r=args.r, r_prime=args.r_prime, kernel=kernel, p=prob)
 
 
 def _resolve_seed(args) -> int:
@@ -95,13 +88,13 @@ def _resolve_seed(args) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise CliError(f"QRGG_SEED is not an integer: {env!r}") from exc
-    raise CliError("--seed is required (or set QRGG_SEED)")
+            raise ValueError(f"QRGG_SEED is not an integer: {env!r}") from exc
+    raise ValueError("--seed is required (or set QRGG_SEED)")
 
 
 def _check_jobs(args):
     if args.jobs < 1:
-        raise CliError("--jobs must be >= 1")
+        raise ValueError("--jobs must be >= 1")
 
 
 def _print_resolved(name: str, resolved: dict):
@@ -193,9 +186,9 @@ def _parse_list(text: str, what: str, kind=float):
     try:
         values = [kind(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
-        raise CliError(f"bad {what} list: {text!r}") from exc
+        raise ValueError(f"bad {what} list: {text!r}") from exc
     if not values:
-        raise CliError(f"{what} list is empty")
+        raise ValueError(f"{what} list is empty")
     return values
 
 
@@ -203,7 +196,7 @@ def _cmd_generate(args) -> int:
     model = _resolve_model(args)
     seed = _resolve_seed(args)
     if args.n < 1 or args.terminals < 1:
-        raise CliError("--n and --terminals must be >= 1")
+        raise ValueError("--n and --terminals must be >= 1")
     _print_resolved("generate", {
         "n": args.n, "terminals": args.terminals, "model": model.to_json(),
         "seed": seed, "out": args.out,
@@ -224,7 +217,7 @@ def _load_or_generate_graph(args):
     if args.graph:
         return load_graph(args.graph)
     if args.n is None:
-        raise CliError("provide --graph or generation flags (--n, --r, ...)")
+        raise ValueError("provide --graph or generation flags (--n, --r, ...)")
     model = _resolve_model(args)
     seed = _resolve_seed(args)
     return build_connectivity_graph(
@@ -249,7 +242,7 @@ def _cmd_capacity(args) -> int:
 def _cmd_bounds(args) -> int:
     model = _resolve_model(args)
     if args.n < 2:
-        raise CliError("--n must be >= 2")
+        raise ValueError("--n must be >= 2")
     _print_resolved("bounds", {
         "n": args.n, "terminals": args.terminals, "k": args.k,
         "model": model.to_json(),
@@ -265,25 +258,22 @@ def _experiment_config(args) -> ExperimentConfig:
             if getattr(args, key) is None:
                 setattr(args, key, value)
     if args.n is None:
-        raise CliError("provide --preset or --n with model flags")
+        raise ValueError("provide --preset or --n with model flags")
     model = _resolve_model(args)
     seed = _resolve_seed(args)
     epsilons = ()
     if args.audit:
         epsilons = tuple(_parse_list(args.audit, "audit epsilon"))
-    try:
-        return ExperimentConfig(
-            n_relays=args.n,
-            n_terminals=1 if args.terminals is None else args.terminals,
-            model=model,
-            trials=args.trials,
-            master_seed=seed,
-            histogram_bins=args.bins,
-            audit_epsilons=epsilons,
-            rlnc_check=args.rlnc_check,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return ExperimentConfig(
+        n_relays=args.n,
+        n_terminals=1 if args.terminals is None else args.terminals,
+        model=model,
+        trials=args.trials,
+        master_seed=seed,
+        histogram_bins=args.bins,
+        audit_epsilons=epsilons,
+        rlnc_check=args.rlnc_check,
+    )
 
 
 def _cmd_experiment(args) -> int:
@@ -316,15 +306,12 @@ def _cmd_sweep(args) -> int:
         "terminals": args.terminals, "trials": args.trials, "seed": seed,
         "jobs": effective_jobs(args.jobs, args.trials),
     })
-    try:
-        rows = run_sweep(
-            n_list, r_list, trials=args.trials, master_seed=seed,
-            r_prime_factor=args.r_prime_factor, r_prime_list=r_prime_list,
-            p_connection=args.p_connection, n_terminals=args.terminals,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rows = run_sweep(
+        n_list, r_list, trials=args.trials, master_seed=seed,
+        r_prime_factor=args.r_prime_factor, r_prime_list=r_prime_list,
+        p_connection=args.p_connection, n_terminals=args.terminals,
+        jobs=args.jobs,
+    )
     csv = sweep_to_csv(rows)
     if args.out:
         write_text_atomic(args.out, csv)
@@ -366,7 +353,7 @@ def _check_result_shape(obj):
     except (KeyError, TypeError, OverflowError):
         ok = False
     if not ok:
-        raise CliError("not an experiment result document: per_trial_capacity and "
+        raise ValueError("not an experiment result document: per_trial_capacity and "
                        "histogram.bin_edges/counts must be lists of finite numbers")
 
 
@@ -396,21 +383,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except CliError as exc:
+        args = build_parser().parse_args(argv)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SystemExit:  # error() raises CliError, so only --help and --version exit
+    except SystemExit:  # error() raises ValueError, so only --help and --version exit
         return EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError) as exc:
-        # JSONDecodeError subclasses ValueError; match it before the
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # Both decode errors subclass ValueError; match them before the
         # validation branch so bad input files report as runtime failures.
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

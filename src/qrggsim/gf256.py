@@ -72,33 +72,6 @@ GF256 = Field(256, "0x11B", _gf256_table())
 GF2 = Field(2, "0x3", [[0, 0], [0, 1]])
 
 
-def _row_reduce(a: np.ndarray, ncols: int, field: Field) -> np.ndarray:
-    """Gauss-Jordan elimination in place on a stack of matrices, a uint8
-    array of shape (B, rows, cols), over the first ncols columns (row
-    operations span whole rows). Each matrix keeps its own rank and pivot
-    row; returns the B ranks."""
-    stack, nrows = a.shape[:2]
-    rank = np.zeros(stack, dtype=np.intp)
-    row_ids = np.arange(nrows)
-    for col in range(ncols):
-        # Pivot: the first row at or below the matrix's rank with a nonzero
-        # entry in this column; a full-rank matrix has no row left.
-        nonzero = (a[:, :, col] != 0) & (row_ids >= rank[:, None])
-        active = np.flatnonzero(nonzero.any(axis=1))
-        if not active.size:
-            continue
-        pivot, dest = nonzero[active].argmax(axis=1), rank[active]
-        top = a[active, pivot]
-        a[active, pivot] = a[active, dest]
-        top = field.times(field.inv[top[:, col]][:, None], top)
-        a[active, dest] = top
-        factor = a[active, :, col]
-        factor[np.arange(active.size), dest] = 0
-        a[active] ^= field.times(factor[:, :, None], top[:, None, :])
-        rank[active] += 1
-    return rank
-
-
 def _full_rank(a: np.ndarray, field: Field) -> np.ndarray:
     """Which matrices of a stack of square ones have full rank. `a` is a
     uint8 array of shape (n, n, B), matrix b being a[:, :, b], and is used
@@ -125,19 +98,36 @@ def _full_rank(a: np.ndarray, field: Field) -> np.ndarray:
     return full
 
 
+def _eliminate(a: np.ndarray, ncols: int, field: Field) -> int:
+    """Gauss-Jordan elimination in place on one uint8 matrix over its first
+    ncols columns (row operations span whole rows); returns its rank."""
+    rank = 0
+    for col in range(ncols):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if not nonzero.size:
+            continue
+        pivot = rank + nonzero[0]
+        top = field.times(field.inv[a[pivot, col]], a[pivot])
+        a[pivot] = a[rank]
+        a ^= field.times(a[:, col, None], top)
+        a[rank] = top
+        rank += 1
+    return rank
+
+
 def matrix_rank(rows: list[list[int]], field: Field = GF256) -> int:
     """Rank via exact Gaussian elimination over the field."""
     if not len(rows):
         return 0
-    a = np.array([rows], dtype=np.uint8)
-    return int(_row_reduce(a, a.shape[2], field)[0])
+    a = np.array(rows, dtype=np.uint8)
+    return _eliminate(a, a.shape[1], field)
 
 
 def solve_linear_system(matrix: list[list[int]], rhs: list[int], field: Field = GF256):
     """Solve a square full-rank system M x = y; returns None if singular."""
     n = len(matrix)
-    aug = np.array([[list(row) + [y] for row, y in zip(matrix, rhs)]], dtype=np.uint8)
-    aug = aug.reshape(1, n, n + 1)
-    if _row_reduce(aug, n, field)[0] < n:
+    aug = np.array([list(row) + [y] for row, y in zip(matrix, rhs)], dtype=np.uint8)
+    aug = aug.reshape(n, n + 1)  # also (0, 1) for the empty system
+    if _eliminate(aug, n, field) < n:
         return None
-    return aug[0, :, n].tolist()
+    return aug[:, n].tolist()

@@ -10,7 +10,6 @@ flow).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -23,7 +22,6 @@ import numpy as np
 from .model import KERNEL_FIXED, ConnectionModel, kernel_probability, sample_points
 from .rng import RandomStream
 
-BRUTE_FORCE_MAX_RELAYS = 20
 # Candidate pairs the near-pair search screens per numpy pass; bounds its
 # temporaries.
 NEAR_PAIR_CHUNK = 1 << 16
@@ -334,7 +332,7 @@ class CutResult:
     partition_vk: tuple[int, ...]  # source-side relays, sorted
     k: int
     capacity: int
-    # The max flow that certifies the cut; None from the exhaustive oracle.
+    # The max flow that certifies the cut; None for a cut found by search.
     flow: Flow | None = field(default=None, compare=False, repr=False)
 
 
@@ -645,23 +643,6 @@ def edge_disjoint_paths(
     return _max_flow(graph, terminal).paths(limit)
 
 
-def brute_force_min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:
-    """Independent oracle: exhaustive minimum over all relay partitions,
-    each counted by cut_capacity.
-
-    Ties broken by lexicographically smallest sorted V_k tuple.
-    """
-    _check_terminal(graph, terminal)
-    if graph.n_relays > BRUTE_FORCE_MAX_RELAYS:
-        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_RELAYS}")
-    capacity, vk = min(
-        (cut_capacity(graph, terminal, vk), vk)
-        for k in range(graph.n_relays + 1)
-        for vk in itertools.combinations(graph.relay_ids, k)
-    )
-    return CutResult(terminal=terminal, partition_vk=vk, k=len(vk), capacity=capacity)
-
-
 def multicast_capacity(graph: ConnectivityGraph) -> int:
     """Network coding multicast capacity: min over terminals of the min cut."""
     if graph.n_terminals < 1:
@@ -734,9 +715,16 @@ def write_json_atomic(path: str, obj):
 
 
 def write_text_atomic(path: str, text: str):
-    """Write to a temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write to a temp file in the target's directory, then rename it over
+    the target (through any symlinks). A target that exists and is not a
+    regular file, such as a FIFO or a device, is written in place: a rename
+    would replace it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -745,27 +733,3 @@ def write_text_atomic(path: str, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-# ---------------------------------------------------------------------------
-# Fixtures
-# ---------------------------------------------------------------------------
-
-def wheatstone_graph() -> ConnectivityGraph:
-    """Source X - relay A - relay B - terminal Y chain; min cut 1."""
-    return from_edges(2, 1, [(0, 1), (1, 2), (2, 3)])
-
-
-def butterfly_graph() -> ConnectivityGraph:
-    """Four-relay butterfly with two terminals; multicast capacity 2.
-
-    Relays: a=1, b=2, c=3 (mixing node), d=4. Terminals: t1=5, t2=6.
-    """
-    edges = [
-        (0, 1), (0, 2),        # s-a, s-b
-        (1, 3), (2, 3),        # a-c, b-c
-        (3, 4),                # c-d (bottleneck)
-        (1, 5), (2, 6),        # a-t1, b-t2
-        (4, 5), (4, 6),        # d-t1, d-t2
-    ]
-    return from_edges(4, 2, edges)

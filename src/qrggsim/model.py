@@ -148,26 +148,3 @@ def connection_probability(model: ConnectionModel) -> float:
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return disk + float(np.dot(weights, integrand)) * h / 3.0
-
-
-def estimate_connection_probability(
-    model: ConnectionModel, samples: int, rng: RandomStream
-) -> float:
-    """Monte Carlo estimate of the marginal pair-connection probability.
-
-    Averages kernel_probability over `samples` independent uniform point
-    pairs; the kernel average (rather than Bernoulli realizations) keeps the
-    estimator unbiased with lower variance.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    total = 0.0
-    remaining = samples
-    # Chunked so multi-million-sample runs stay within memory.
-    while remaining > 0:
-        chunk = min(remaining, 1_000_000)
-        pts = rng.random((chunk, 4))
-        d = np.hypot(pts[:, 0] - pts[:, 2], pts[:, 1] - pts[:, 3])
-        total += float(np.sum(kernel_probability(d, model)))
-        remaining -= chunk
-    return total / samples

@@ -38,17 +38,6 @@ CODING_BLOCK = 64
 CHUNK_CELLS = 16384
 
 
-def xor_relay_demo(b1: int, b2: int) -> tuple[int, int]:
-    """Wheatstone-bridge exchange: the relay forwards b1 XOR b2 and each
-    side cancels its own bit. Returns (decoded at X, decoded at Y)."""
-    if b1 not in (0, 1) or b2 not in (0, 1):
-        raise ValueError("bits must be 0 or 1")
-    mixed = b1 ^ b2
-    decoded_at_x = b1 ^ mixed  # = b2
-    decoded_at_y = b2 ^ mixed  # = b1
-    return decoded_at_x, decoded_at_y
-
-
 @dataclass(frozen=True, eq=False)
 class CodingDag:
     """The union of the terminals' flow paths, oriented, and its coding plan.

@@ -17,6 +17,13 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
+def _seed_words(x: int) -> list[int]:
+    """The uint32 words SeedSequence makes of a path entry x in [0, 2**64):
+    low first, at least one. Handing SeedSequence a path's words as an array
+    skips its slower conversion of Python ints."""
+    return [x & _MASK32, x >> 32] if x >> 32 else [x]
+
+
 class RandomStream:
     """A deterministic PCG64 stream keyed by an integer seed path.
 
@@ -47,11 +54,10 @@ class RandomStream:
         child (label, i), i in `indices`: one uint64 row per child, what
         child(label, i) would hand out, without building the children."""
         prefix = self._path + (zlib.crc32(label.encode("ascii")),)
-        prefix = [w for x in prefix for w in ((x & _MASK32, x >> 32) if x >> 32 else (x,))]
+        prefix = [w for x in prefix for w in _seed_words(x)]
         raw = np.empty((len(indices), size), dtype=np.uint64)
         for row, i in enumerate(indices):
-            i = int(i) & _MASK64
-            words = np.array(prefix + ([i & _MASK32, i >> 32] if i >> 32 else [i]), np.uint32)
+            words = np.array(prefix + _seed_words(int(i) & _MASK64), np.uint32)
             raw[row] = np.random.PCG64(np.random.SeedSequence(words)).random_raw(size)
         return raw
 
@@ -65,21 +71,13 @@ class RandomStream:
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
-            # The uint32 words SeedSequence makes of list(path): each entry's
-            # words, low first, at least one per entry. Handing it the array
-            # skips its slower conversion of Python ints.
-            words = [w for x in self._path for w in ((x & _MASK32, x >> 32) if x >> 32 else (x,))]
-            self._gen = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(np.array(words, np.uint32)))
-            )
+            words = np.array([w for x in self._path for w in _seed_words(x)], np.uint32)
+            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
         return self._gen
 
     # Thin passthroughs to the underlying generator.
     def random(self, size=None):
         return self._generator().random(size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._generator().uniform(low, high, size)
 
     def integers(self, low, high=None, size=None):
         return self._generator().integers(low, high, size)

@@ -14,11 +14,8 @@ from qrggsim import (
     ConnectionModel,
     ExperimentConfig,
     RandomStream,
-    brute_force_min_cut,
     build_connectivity_graph,
-    butterfly_graph,
     cut_tail_bound,
-    estimate_connection_probability,
     expected_cut_capacity,
     full_report,
     lower_bound_report,
@@ -28,6 +25,12 @@ from qrggsim import (
     run_sweep,
     upper_bound_report,
     verify_achievability,
+)
+
+from oracles import (
+    brute_force_min_cut,
+    butterfly_graph,
+    estimate_connection_probability,
     xor_relay_demo,
 )
 
@@ -67,10 +70,10 @@ def test_criterion_02_oracle_equivalence():
         n = int(pick.integers(4, 13))
         tau = int(pick.integers(1, 4))
         model = ConnectionModel(
-            r=float(pick.uniform(0.05, 0.35)),
-            r_prime=float(pick.uniform(0.35, 0.7)),
+            r=0.05 + (0.35 - 0.05) * pick.random(),
+            r_prime=0.35 + (0.7 - 0.35) * pick.random(),
             kernel="fixed" if seed % 2 else "linear_decay",
-            p=float(pick.uniform(0.0, 1.0)) if seed % 2 else float(pick.uniform(0.1, 1.0)),
+            p=pick.random() if seed % 2 else 0.1 + (1.0 - 0.1) * pick.random(),
         )
         g = build_connectivity_graph(n, tau, model, rng)
         for t in g.terminal_ids:

@@ -67,6 +67,17 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "capacity", "--graph", str(bad))
         assert code == 2
 
+    def test_input_that_is_not_utf8_is_runtime_error(self, capsys, tmp_path):
+        # An input file that cannot be decoded, like one that is not JSON.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00")
+        for argv in (["capacity", "--graph", str(bad)],
+                     ["verify-rlnc", "--graph", str(bad), "--trials", "1", "--seed", "1"],
+                     ["export", "--result", str(bad)]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert err.startswith("runtime failure: 'utf-8' codec can't decode"), argv
+
     def test_malformed_graph_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         for doc in [
@@ -285,7 +296,8 @@ class TestSweep:
 
 class TestVerifyRlnc:
     def test_butterfly_fixture(self, capsys, tmp_path):
-        from qrggsim import butterfly_graph, save_graph
+        from oracles import butterfly_graph
+        from qrggsim import save_graph
 
         path = tmp_path / "butterfly.json"
         save_graph(butterfly_graph(), str(path))

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import json
+import os
+import stat
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,9 +15,7 @@ from qrggsim import (
     ConnectionModel,
     ConnectivityGraph,
     RandomStream,
-    brute_force_min_cut,
     build_connectivity_graph,
-    butterfly_graph,
     cut_capacity,
     edge_disjoint_paths,
     from_edges,
@@ -24,7 +25,6 @@ from qrggsim import (
     min_cut,
     multicast_capacity,
     save_graph,
-    wheatstone_graph,
 )
 from qrggsim import graph as graph_module
 from qrggsim.graph import (
@@ -34,8 +34,11 @@ from qrggsim.graph import (
     _max_flow,
     _near_pairs,
     _residual_rows,
+    write_text_atomic,
 )
 from qrggsim.model import kernel_probability
+
+from oracles import brute_force_min_cut, butterfly_graph, wheatstone_graph
 
 FIG3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
 FLOW_PIN = "8d16df39d7082cd8b5782647f5ce4251a1a6ff6f2fd444cd36f8db8ff4e2915e"
@@ -49,10 +52,10 @@ def random_graph(seed, n_relays=None, n_terminals=None):
     n = n_relays if n_relays is not None else int(pick.integers(4, 13))
     tau = n_terminals if n_terminals is not None else int(pick.integers(1, 4))
     model = ConnectionModel(
-        r=float(pick.uniform(0.05, 0.3)),
-        r_prime=float(pick.uniform(0.3, 0.6)),
+        r=0.05 + (0.3 - 0.05) * pick.random(),
+        r_prime=0.3 + (0.6 - 0.3) * pick.random(),
         kernel="fixed",
-        p=float(pick.uniform(0.0, 1.0)),
+        p=pick.random(),
     )
     return build_connectivity_graph(n, tau, model, rng)
 
@@ -598,6 +601,46 @@ class TestJson:
         graph_from_json(no_relay)
         with pytest.raises(ValueError, match="^terminals must hold integers only"):
             graph_from_json({**no_relay, "terminals": [True]})
+
+
+class TestAtomicWrite:
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        # A rename would put a regular file where the FIFO was (as it would
+        # replace a device node or the /dev/stdout symlink).
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        write_text_atomic(str(fifo), "through the pipe\n")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == ["through the pipe\n"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+    def test_a_failed_rename_keeps_the_old_target_and_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            write_text_atomic(str(target), "new\n")
+        assert target.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    def test_a_symlink_keeps_pointing_at_the_rewritten_file(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        real = tmp_path / "real" / "out.json"
+        real.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        write_text_atomic(str(link), "new\n")
+        assert link.is_symlink() and real.read_text() == "new\n"
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 def _flow_record(graphs) -> str:

@@ -12,12 +12,13 @@ from qrggsim import (
     build_connectivity_graph,
     connection_probability,
     effective_annulus_p,
-    estimate_connection_probability,
     kernel_probability,
     p_prime_bounds,
     sample_points,
     unit_square_distance_cdf,
 )
+
+from oracles import estimate_connection_probability
 
 FIG3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
 

@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import json
+import math
 import tracemalloc
 from graphlib import CycleError, TopologicalSorter
 
@@ -10,19 +11,18 @@ import pytest
 from qrggsim import (
     ConnectionModel,
     RandomStream,
-    brute_force_min_cut,
     build_coding_dag,
     build_connectivity_graph,
-    butterfly_graph,
     from_edges,
     min_cut,
     multicast_capacity,
     verify_achievability,
-    xor_relay_demo,
 )
 from qrggsim import rlnc
 from qrggsim.gf256 import GF2, GF256
 from qrggsim.rlnc import CODING_BLOCK, CodingDag, CyclicSkip
+
+from oracles import brute_force_min_cut, butterfly_graph, xor_relay_demo
 
 RLNC_PIN = "f6f8e3b74fb1f0f0fbd5c8317f727bfe786a42c7f160c66687504dfc636a74a1"
 
@@ -283,6 +283,54 @@ class TestVerifyAchievability:
         # True would run one trial and report "trials": true.
         with pytest.raises(ValueError, match="trials"):
             verify_achievability(butterfly_graph(), trials, RandomStream.from_seed(1))
+
+
+def predicted_decode_probability(graph, dag, terminal, order):
+    """P(decode) of one terminal's coding trial, from the DAG alone.
+
+    With one terminal the DAG is h arc-disjoint paths, so sweeping it in
+    topological order replaces each node's k inputs with k out-arcs: the
+    terminal's matrix is the source's matrix times each relay's local k x k
+    matrix, and it is non-singular iff each of them is. A uniform k x k
+    matrix is non-singular with probability prod_{i=1..k} (1 - order^-i);
+    a node with one input draws a nonzero coefficient, so its factor is 1.
+    The source's inputs are the `rate` unit vectors, any other node's its
+    in-arcs. Also asserts the premise: every node but the terminal has as
+    many out-arcs as inputs."""
+    tails, heads = dag.arcs.T
+    inputs = np.bincount(heads, minlength=graph.n_nodes)
+    inputs[graph.source] = dag.rate
+    outputs = np.bincount(tails, minlength=graph.n_nodes)
+    coders = [v for v in dag.topo_order.tolist() if v != terminal]
+    assert all(outputs[v] == inputs[v] for v in coders)
+    return math.prod(1 - order ** -i for v in coders if inputs[v] >= 2
+                     for i in range(1, inputs[v] + 1))
+
+
+class TestDecodeProbability:
+    def test_one_terminal_successes_match_the_product_formula(self, fig3_model):
+        # The bound |z| < 3.5 and the seeds were fixed before either was run.
+        trials, observed, expected, variance, compared = 512, 0, 0.0, 0.0, 0
+        for seed in range(100):
+            g = build_connectivity_graph(200, 1, fig3_model, RandomStream.from_seed(seed))
+            cuts = [min_cut(g, t) for t in g.terminal_ids]
+            if cuts[0].capacity == 0:
+                continue
+            dag = build_coding_dag(g, cuts[0].capacity, cuts)
+            if isinstance(dag, CyclicSkip):
+                continue
+            p = predicted_decode_probability(g, dag, g.terminal_ids[0], GF256.order)
+            report = verify_achievability(
+                g, trials, RandomStream.from_seed(seed).child("rlnc"), cuts=cuts)
+            observed += round(report.success_fraction * trials)
+            expected += trials * p
+            variance += trials * p * (1 - p)
+            compared += 1
+        z = (observed - expected) / math.sqrt(variance)
+        print(f"decode successes: {observed} observed, {expected:.1f} predicted "
+              f"over {compared} graphs, z = {z:.2f}")
+        assert compared >= 90
+        assert abs(z) < 3.5, z
 
 
 def _rlnc_record(graphs):

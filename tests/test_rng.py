@@ -60,7 +60,6 @@ def test_draws_are_those_of_the_seed_sequence_of_the_path(path):
     assert np.array_equal(stream.random(5), ref.random(5))
     assert np.array_equal(stream.integers(0, 256, size=7), ref.integers(0, 256, size=7))
     assert np.array_equal(stream.integers([1, 0, 1], 256), ref.integers([1, 0, 1], 256))
-    assert np.array_equal(stream.uniform(-2.0, 3.0, 4), ref.uniform(-2.0, 3.0, 4))
     assert stream.random() == ref.random()
 
 
