@@ -192,18 +192,18 @@ def _parse_list(text: str, what: str, kind=float):
     return values
 
 
+def _generate_graph(args):
+    """The graph that --n, --terminals, the model flags and the seed draw."""
+    return build_connectivity_graph(args.n, args.terminals, _resolve_model(args),
+                                    RandomStream.from_seed(_resolve_seed(args)))
+
+
 def _cmd_generate(args) -> int:
-    model = _resolve_model(args)
-    seed = _resolve_seed(args)
-    if args.n < 1 or args.terminals < 1:
-        raise ValueError("--n and --terminals must be >= 1")
+    graph = _generate_graph(args)
     _print_resolved("generate", {
-        "n": args.n, "terminals": args.terminals, "model": model.to_json(),
-        "seed": seed, "out": args.out,
+        "n": args.n, "terminals": args.terminals, "model": graph.model.to_json(),
+        "seed": graph.seed, "out": args.out,
     })
-    graph = build_connectivity_graph(
-        args.n, args.terminals, model, RandomStream.from_seed(seed)
-    )
     save_graph(graph, args.out)
     print(
         f"[qrggsim] wrote {graph.n_nodes} nodes, {len(graph.edge_list())} edges "
@@ -213,20 +213,13 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_or_generate_graph(args):
-    if args.graph:
-        return load_graph(args.graph)
-    if args.n is None:
-        raise ValueError("provide --graph or generation flags (--n, --r, ...)")
-    model = _resolve_model(args)
-    seed = _resolve_seed(args)
-    return build_connectivity_graph(
-        args.n, args.terminals, model, RandomStream.from_seed(seed)
-    )
-
-
 def _cmd_capacity(args) -> int:
-    graph = _load_or_generate_graph(args)
+    if args.graph:
+        graph = load_graph(args.graph)
+    elif args.n is None:
+        raise ValueError("provide --graph or generation flags (--n, --r, ...)")
+    else:
+        graph = _generate_graph(args)
     _print_resolved("capacity", {
         "graph": args.graph, "n_relays": graph.n_relays,
         "terminals": graph.terminal_ids,
@@ -241,8 +234,6 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_bounds(args) -> int:
     model = _resolve_model(args)
-    if args.n < 2:
-        raise ValueError("--n must be >= 2")
     _print_resolved("bounds", {
         "n": args.n, "terminals": args.terminals, "k": args.k,
         "model": model.to_json(),
@@ -342,19 +333,21 @@ def _cmd_export(args) -> int:
 
 def _check_result_shape(obj):
     """The fields _write_artifacts reads must be lists of finite numbers
-    (math.isfinite overflows on an int beyond the float range)."""
+    (math.isfinite overflows on an int beyond the float range), and the
+    histogram must have at least one count and one more edge than counts."""
     try:
         fields = (obj["per_trial_capacity"], obj["histogram"]["bin_edges"],
                   obj["histogram"]["counts"])
         ok = all(isinstance(values, list) and all(
             isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
             for x in values
-        ) for values in fields)
+        ) for values in fields) and len(fields[1]) == len(fields[2]) + 1 >= 2
     except (KeyError, TypeError, OverflowError):
         ok = False
     if not ok:
         raise ValueError("not an experiment result document: per_trial_capacity and "
-                       "histogram.bin_edges/counts must be lists of finite numbers")
+                         "histogram.bin_edges/counts must be lists of finite numbers, "
+                         "with len(bin_edges) == len(counts) + 1 >= 2")
 
 
 def _write_artifacts(args, doc: dict):
@@ -385,13 +378,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _COMMANDS[args.command](args)
     except SystemExit:  # error() raises ValueError, so only --help and --version exit
         return EXIT_OK
-    try:
-        return _COMMANDS[args.command](args)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         # Both decode errors subclass ValueError; match them before the
         # validation branch so bad input files report as runtime failures.

@@ -17,18 +17,10 @@ import numpy as np
 
 from . import __version__
 from .bounds import BoundReport, _sig6, cut_tail_bound, full_report
-from .graph import _is_int, build_connectivity_graph, min_cut, write_json_atomic
+from .graph import _require_int, build_connectivity_graph, min_cut, write_json_atomic
 from .model import ConnectionModel, KERNEL_LINEAR_DECAY
 from .rlnc import verify_achievability
 from .rng import RandomStream
-
-
-def _require_int(name: str, value, least: int | None = None):
-    """Refuse a value that is not an int, or is a bool (an int to Python: it
-    would run, and write `true` into the provenance), or is below `least`."""
-    if not _is_int(value) or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{bound}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +49,7 @@ class ExperimentConfig:
 
     def to_json(self) -> dict:
         # Provenance: exact, not rounded.
-        return {**asdict(self), "model": self.model.to_json(),
-                "audit_epsilons": list(self.audit_epsilons)}
+        return {**asdict(self), "audit_epsilons": list(self.audit_epsilons)}
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,6 +48,10 @@ class ConnectivityGraph:
         if self.n_relays < 0 or self.n_terminals < 0:
             raise ValueError("node counts must be non-negative")
         n_total = self.n_nodes
+        # Node ids must fit the flows' int32 arrays; the build's pair keys
+        # ((i << s) | j) << 1 then fit in 2 * 31 + 1 bits.
+        if n_total > 2**31:
+            raise ValueError(f"a graph holds at most 2**31 nodes, not {n_total}")
         e = self.edges
         if e.ndim != 2 or e.shape[1] != 2 or not np.issubdtype(e.dtype, np.integer):
             raise ValueError("edges must be an (E, 2) integer array")
@@ -673,12 +678,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_int(name: str, value, least: int | None = None):
+    """Refuse a value that is not an int, or is a bool (an int to Python: it
+    would run, and write `true` into the provenance), or is below `least`."""
+    if not _is_int(value) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, not {value!r}")
+
+
 def graph_from_json(obj: dict) -> ConnectivityGraph:
     """Graph from its JSON document; a malformed document raises ValueError."""
     try:
         n_relays = obj["n_relays"]
-        if not _is_int(n_relays):
-            raise ValueError(f"n_relays must be an integer, not {n_relays!r}")
+        _require_int("n_relays", n_relays)
         seed = obj.get("seed")
         if seed is not None and not _is_int(seed):
             raise ValueError(f"seed must be an integer or null, not {seed!r}")
@@ -718,15 +730,24 @@ def write_text_atomic(path: str, text: str):
     """Write to a temp file in the target's directory, then rename it over
     the target (through any symlinks). A target that exists and is not a
     regular file, such as a FIFO or a device, is written in place: a rename
-    would replace it."""
+    would replace it. The file gets the mode open(path, "w") leaves: a
+    replaced file keeps its own, and a new one takes 0o666 less the umask
+    (mkstemp's temp file is 0o600)."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
     path = os.path.realpath(path)
+    if os.path.exists(path):
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    else:
+        umask = os.umask(0)  # the only way to read it is to set it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

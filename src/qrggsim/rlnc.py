@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import _sig6
 from .gf256 import GF256, _full_rank
 from . import graph as _graph
-from .graph import ConnectivityGraph, CutResult, _is_int
+from .graph import ConnectivityGraph, CutResult, _require_int
 # Unused here but bound in this module, where the benchmark's tracer wraps them.
 from .gf256 import matrix_rank, solve_linear_system  # noqa: F401
 from .graph import edge_disjoint_paths, multicast_capacity  # noqa: F401
@@ -98,8 +98,7 @@ def build_coding_dag(graph: ConnectivityGraph, rate: int, cuts=None):
     cycle among the nodes the sweep did not reach; an edge used both ways
     puts both arcs in the union, a cycle of two nodes.
     """
-    if not _is_int(rate) or rate < 0:
-        raise ValueError(f"rate must be an integer >= 0, not {rate!r}")
+    _require_int("rate", rate, 0)
     cuts = _terminal_cuts(graph, cuts)
     if any(cut.capacity < rate for cut in cuts):
         raise ValueError("rate exceeds the multicast capacity")
@@ -193,8 +192,6 @@ def _from_words(words: np.ndarray, lows: np.ndarray, field):
     k = field.order.bit_length() - 1
     values = words >> (32 - k)
     ones = lows == 1
-    if not ones.any():
-        return values, np.zeros(len(words), dtype=bool)
     lo = words << k
     values += ones & (lo >= words)
     span = field.order - 1
@@ -279,28 +276,20 @@ def verify_achievability(
     one topological sweep. Each terminal has exactly h in-arcs: h
     edge-disjoint paths end at it, and no other terminal's flow touches it.
     """
-    if not _is_int(trials) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, not {trials!r}")
+    _require_int("trials", trials, 1)
     cuts = _terminal_cuts(graph, cuts)
     h = min(cut.capacity for cut in cuts)
-    if h == 0:
-        return AchievabilityReport(
-            h=0, trials=trials, success_fraction=1.0,
-            cyclic_skipped=False, field_poly=field.poly,
-        )
-    dag = build_coding_dag(graph, h, cuts)
-    if isinstance(dag, CyclicSkip):
-        return AchievabilityReport(
-            h=h, trials=trials, success_fraction=0.0,
-            cyclic_skipped=True, field_poly=field.poly,
-        )
-    successes = 0
-    for first in range(0, trials, CODING_BLOCK):
-        block = range(first, min(first + CODING_BLOCK, trials))
-        coeffs = _coefficients(rng, block, dag.lows, field)
-        vectors = _global_vectors(dag, coeffs, field)
-        successes += _count_decoded(vectors, dag.terminal_arcs, field)
+    # At rate 0 there is no DAG to build, and every trial decodes; a cyclic
+    # union decodes none.
+    dag = build_coding_dag(graph, h, cuts) if h else None
+    successes = trials if dag is None else 0
+    if isinstance(dag, CodingDag):
+        for first in range(0, trials, CODING_BLOCK):
+            block = range(first, min(first + CODING_BLOCK, trials))
+            coeffs = _coefficients(rng, block, dag.lows, field)
+            vectors = _global_vectors(dag, coeffs, field)
+            successes += _count_decoded(vectors, dag.terminal_arcs, field)
     return AchievabilityReport(
         h=h, trials=trials, success_fraction=successes / trials,
-        cyclic_skipped=False, field_poly=field.poly,
+        cyclic_skipped=isinstance(dag, CyclicSkip), field_poly=field.poly,
     )

@@ -95,11 +95,32 @@ class TestExitCodes:
             # This loaded, and graph_to_json wrote the seed back.
             {"n_relays": 1, "terminals": [2], "edges": [[0, 1], [1, 2]], "seed": "x"},
             {"n_relays": 1, "terminals": [2], "edges": [[0, 1], [1, 2]], "seed": True},
+            # This exited 2: "Python int too large to convert to C long".
+            {"n_relays": 10**30, "terminals": [10**30 + 1], "edges": [[0, 1]]},
         ]:
             bad.write_text(json.dumps(doc))
             code, _, err = run_cli(capsys, "capacity", "--graph", str(bad))
             assert code == 1
             assert "error" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--n", "0", "--seed", "1", "--out", "@g.json"],
+         "need at least one relay and one terminal"),
+        (["generate", "--n", "5", "--terminals", "0", "--seed", "1", "--out", "@g.json"],
+         "need at least one relay and one terminal"),
+        (["capacity", "--n", "0", "--seed", "1"], "need at least one relay and one terminal"),
+        (["bounds", "--n", "1"], "require n >= 2"),
+    ])
+    def test_sizes_are_checked_by_the_library(self, capsys, tmp_path, argv, message):
+        # The CLI does not check these sizes itself: the graph build and the
+        # bound functions refuse them.
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        code, out, err = run_cli(capsys, *argv, *FIG3_FLAGS)
+        assert code == 1
+        assert out == ""
+        assert [line for line in err.splitlines() if not line.startswith("[qrggsim] ")] == [
+            f"error: {message}"]
+        assert not list(tmp_path.iterdir())
 
     def test_booleans_in_edges_or_terminals_are_validation_errors(self, capsys, tmp_path):
         # Both exited 0: the first with its first row read as edge (0, 1),
@@ -123,7 +144,12 @@ class TestGenerateAndCapacity:
             "--seed", "7", "--out", str(out),
         )
         assert code == 0
-        assert "wrote" in err
+        assert err.splitlines() == [
+            '[qrggsim] generate: {"model": {"kernel": "fixed", "p": 0.5, "r": 0.1, '
+            f'"r_prime": 0.2}}, "n": 20, "out": "{out}", "seed": 7, "terminals": 2}}',
+            f"[qrggsim] wrote 23 nodes, {len(json.loads(out.read_text())['edges'])} edges "
+            f"to {out}",
+        ]
         obj = json.loads(out.read_text())
         assert obj["n_relays"] == 20
 
@@ -418,6 +444,23 @@ class TestExport:
         code, _, err = run_cli(capsys, "export", "--result", str(result_path), flag, str(out))
         assert code == 1
         assert "finite" in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("flag", ["--csv", "--hist-csv", "--svg"])
+    @pytest.mark.parametrize("edges, counts", [([0, 1, 2, 3, 4], [5]), ([0, 1], [])])
+    def test_histogram_needs_one_more_edge_than_counts(self, capsys, tmp_path, flag, edges,
+                                                       counts):
+        # --csv and --hist-csv exited 0 on these (the second --hist-csv with
+        # an empty CSV), while --svg exited 1.
+        doc = {"per_trial_capacity": [1, 2], "histogram": {"bin_edges": edges, "counts": counts}}
+        result_path = tmp_path / "r.json"
+        result_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "export", "--result", str(result_path), flag, str(out))
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error: not an experiment result document")
+        assert "len(bin_edges) == len(counts) + 1 >= 2" in err
         assert not out.exists()
 
 

@@ -559,6 +559,10 @@ class TestJson:
         ]:
             with pytest.raises(ValueError, match=key):
                 graph_from_json({**one_relay, key: value})
+        for value, shown in [(True, "True"), (5.0, "5.0"), ("5", "'5'"), (None, "None")]:
+            with pytest.raises(ValueError) as info:
+                graph_from_json({**one_relay, "n_relays": value})
+            assert str(info.value) == f"n_relays must be an integer, not {shown}"
         model = {"r": 0.1, "r_prime": 0.2, "kernel": "fixed", "p": 0.5}
         graph_from_json({**one_relay, "model": model})
         for key, value in [
@@ -581,6 +585,19 @@ class TestJson:
                 graph_from_json({k: v for k, v in obj.items() if k != key})
             with pytest.raises(ValueError):
                 graph_from_json({**obj, key: None})
+
+    def test_node_ids_must_fit_in_31_bits(self):
+        # The flows hold node ids as int32. n_relays 10**30 used to fail in
+        # the constructor's sort check with "Python int too large to
+        # convert to C long".
+        none = np.empty((0, 2), dtype=np.int64)
+        assert ConnectivityGraph(2**31 - 2, 1, none).n_nodes == 2**31
+        with pytest.raises(ValueError) as info:
+            ConnectivityGraph(2**31 - 1, 1, none)
+        assert str(info.value) == "a graph holds at most 2**31 nodes, not 2147483649"
+        big = 10**30
+        with pytest.raises(ValueError, match=r"^a graph holds at most 2\*\*31 nodes, not 10+2$"):
+            graph_from_json({"n_relays": big, "terminals": [big + 1], "edges": [[0, 1]]})
 
     def test_load_rejects_non_integers_in_edges_and_terminals(self):
         # A bool joins an integer edge array as 0 or 1, and [True] equals
@@ -631,6 +648,24 @@ class TestAtomicWrite:
             write_text_atomic(str(target), "new\n")
         assert target.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)],
+                             ids=["umask022", "umask002", "umask077"])
+    def test_files_get_the_mode_open_would_give(self, tmp_path, umask, mode):
+        # mkstemp makes its temp file 0o600, and the rename used to keep
+        # that mode for new and replaced files alike.
+        old = os.umask(umask)
+        try:
+            write_text_atomic(str(tmp_path / "new.json"), "new\n")
+            kept = tmp_path / "kept.json"
+            kept.write_text("old\n")
+            os.chmod(kept, 0o640)
+            write_text_atomic(str(kept), "new\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "new.json").st_mode) == mode
+        assert kept.read_text() == "new\n"
+        assert stat.S_IMODE(os.stat(kept).st_mode) == 0o640
 
     def test_a_symlink_keeps_pointing_at_the_rewritten_file(self, tmp_path):
         (tmp_path / "real").mkdir()

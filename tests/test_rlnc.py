@@ -115,11 +115,14 @@ class TestBuildCodingDag:
         assert dag.levels == [] and dag.lows.size == 0
         assert dag.terminal_arcs.shape == (2, 0)
 
-    @pytest.mark.parametrize("rate", [True, 1.5, "2", None, -1])
-    def test_rate_must_be_a_non_negative_int_and_not_a_bool(self, rate):
+    @pytest.mark.parametrize("rate, shown", [
+        (True, "True"), (1.5, "1.5"), ("2", "'2'"), (None, "None"), (-1, "-1")],
+        ids=["True", "1.5", "2", "None", "-1"])
+    def test_rate_must_be_a_non_negative_int_and_not_a_bool(self, rate, shown):
         # True would build a rate-1 DAG that says rate=True.
-        with pytest.raises(ValueError, match="rate"):
+        with pytest.raises(ValueError) as info:
             build_coding_dag(butterfly_graph(), rate)
+        assert str(info.value) == f"rate must be an integer >= 0, not {shown}"
 
     def test_rate_above_capacity_rejected(self):
         g = butterfly_graph()
@@ -278,11 +281,14 @@ class TestVerifyAchievability:
         with pytest.raises(ValueError):
             verify_achievability(butterfly_graph(), 0, RandomStream.from_seed(1))
 
-    @pytest.mark.parametrize("trials", [True, 2.5, "8", None])
-    def test_trials_must_be_an_int_and_not_a_bool(self, trials):
+    @pytest.mark.parametrize("trials, shown", [
+        (True, "True"), (2.5, "2.5"), ("8", "'8'"), (None, "None"), (0, "0")],
+        ids=["True", "2.5", "8", "None", "0"])
+    def test_trials_must_be_an_int_and_not_a_bool(self, trials, shown):
         # True would run one trial and report "trials": true.
-        with pytest.raises(ValueError, match="trials"):
+        with pytest.raises(ValueError) as info:
             verify_achievability(butterfly_graph(), trials, RandomStream.from_seed(1))
+        assert str(info.value) == f"trials must be an integer >= 1, not {shown}"
 
 
 def predicted_decode_probability(graph, dag, terminal, order):
