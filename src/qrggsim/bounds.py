@@ -113,8 +113,9 @@ def full_report(n: int, tau: int, model: ConnectionModel, k: int = 0) -> BoundRe
     integration oracle, the interval is the corner/interior sandwich."""
     p_prime = connection_probability(model)
     interval = p_prime_bounds(model)
-    expected_c0 = expected_cut_capacity(n, 0, p_prime)
+    # Checks n >= 2 before expected_cut_capacity, which would name k for a bad n.
     eps_lo, lo, lo_fail, vac_lo = lower_bound_report(n, tau, p_prime, k)
+    expected_c0 = expected_cut_capacity(n, 0, p_prime)
     eps_hi, hi, hi_fail, vac_hi = upper_bound_report(n, p_prime)
     return BoundReport(
         n=n,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -129,14 +130,37 @@ def effective_jobs(jobs: int, trials: int) -> int:
     return min(jobs, trials, os.cpu_count() or 1)
 
 
+# (workers, pool) of this process, kept across runs; None before the first
+# parallel run and after a pool broke.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+
+
+def _worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """The pool of `jobs` workers: forked by the first run that needs it,
+    reused by later runs with the same count, replaced for another count.
+    concurrent.futures joins its workers at interpreter exit."""
+    global _pool
+    if _pool is None or _pool[0] != jobs:
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = (jobs, ProcessPoolExecutor(max_workers=jobs))
+    return _pool[1]
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Execute all trials, aggregate, and attach bound report and audits."""
+    global _pool
     indices = range(config.trials)
     jobs = effective_jobs(jobs, config.trials)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pool = _worker_pool(jobs)
+        try:
             outcomes = list(pool.map(run_trial, [config] * config.trials, indices,
                                      chunksize=max(1, config.trials // (4 * jobs))))
+        except BrokenProcessPool:
+            _pool = None  # a worker died: the next run forks a fresh pool
+            pool.shutdown()
+            raise
     else:
         outcomes = [run_trial(config, i) for i in indices]
 

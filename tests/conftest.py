@@ -38,23 +38,35 @@ def long_cycle_graph():
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
+def fresh_pool():
+    """No experiment worker pool is cached when the test starts or after it
+    ends: a cached pool is shut down and forgotten, before and after."""
+    def reset():
+        if experiment._pool is not None:
+            experiment._pool[1].shutdown()
+        experiment._pool = None
+
+    reset()
+    yield
+    reset()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch, fresh_pool):
     """Replaces the experiment process pool with a serial stand-in, so no
-    process starts; the returned list collects each pool's max_workers."""
+    process starts; the returned list collects each pool's max_workers.
+    Through fresh_pool, no stand-in stays cached into later tests."""
     sizes = []
 
     class RecordingPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
+
+        def shutdown(self, wait=True):
+            pass
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     return sizes

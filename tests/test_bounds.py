@@ -171,6 +171,14 @@ class TestFullReport:
         report = full_report(100_000, 1, model)
         assert report.lower_bound <= report.expected_c0 <= report.upper_bound
 
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_size_checked_before_the_expected_cut(self, n):
+        # expected_cut_capacity(n, 0, p') ran first and refused n = -1 as
+        # "require 0 <= k <= n", naming k for a bad n.
+        model = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
+        with pytest.raises(ValueError, match=r"^require n >= 2$"):
+            full_report(n, 1, model)
+
     def test_json_six_significant_digits(self):
         model = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
         obj = full_report(200, 1, model).to_json()

@@ -110,6 +110,7 @@ class TestExitCodes:
          "need at least one relay and one terminal"),
         (["capacity", "--n", "0", "--seed", "1"], "need at least one relay and one terminal"),
         (["bounds", "--n", "1"], "require n >= 2"),
+        (["bounds", "--n", "-1"], "require n >= 2"),
     ])
     def test_sizes_are_checked_by_the_library(self, capsys, tmp_path, argv, message):
         # The CLI does not check these sizes itself: the graph build and the

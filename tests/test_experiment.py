@@ -1,8 +1,10 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -17,6 +19,7 @@ from qrggsim import (
 )
 from qrggsim import experiment
 from qrggsim import graph as graph_module
+from qrggsim.cli import main
 from qrggsim.experiment import (
     capacity_csv,
     histogram_csv,
@@ -33,6 +36,18 @@ def small_config(**overrides):
     )
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
+
+
+def _exit_on_trial_3(config, index):
+    """run_trial, except that trial 3 ends its worker process at once. At
+    module level, so that the pool can pickle it by name."""
+    if index == 3:
+        os._exit(1)
+    return run_trial(config, index)
+
+
+def _worker_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
 
 
 class TestRunTrial:
@@ -137,6 +152,14 @@ class TestRunExperiment:
         result = run_experiment(config, jobs=jobs)
         assert pool_sizes == ([] if workers is None else [workers])
         assert result.to_json() == run_experiment(config, jobs=1).to_json()
+
+    def test_another_worker_count_replaces_the_pool(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
+        config = small_config(n_relays=10, trials=8)
+        for jobs in (2, 2, 3, 3, 1, 2):
+            run_experiment(config, jobs=jobs)
+        assert pool_sizes == [2, 3, 2]
+        assert experiment._pool[0] == 2
 
     def test_explicit_bin_count(self):
         result = run_experiment(small_config(histogram_bins=4))
@@ -268,6 +291,76 @@ class TestRunSweep:
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
             run_sweep([], [0.1], trials=1, master_seed=0)
+
+    def test_cells_share_one_pool(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+        rows = run_sweep([20], [0.1, 0.15, 0.2], trials=4, master_seed=7, jobs=2)
+        assert len(rows) == 3
+        assert pool_sizes == [2]
+        assert rows == run_sweep([20], [0.1, 0.15, 0.2], trials=4, master_seed=7, jobs=1)
+
+
+class TestWorkerPool:
+    """The real worker pool; no test here forks more than 2 workers at once,
+    and fresh_pool shuts them down after each test."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+
+    def test_runs_reuse_the_workers(self):
+        config = small_config(n_relays=20, trials=8)
+        serial = run_experiment(config, jobs=1).to_json()
+        assert _worker_pids() == []
+        first = run_experiment(config, jobs=2).to_json()
+        pids = _worker_pids()
+        assert len(pids) == 2
+        assert run_experiment(config, jobs=2).to_json() == first == serial
+        assert _worker_pids() == pids
+
+    def test_workers_end_with_the_process(self, tmp_path):
+        # The CLI has no shutdown code: concurrent.futures joins the workers
+        # at interpreter exit, so none outlives the process.
+        code = (
+            "import multiprocessing, os, sys\n"
+            "from qrggsim import cli\n"
+            "os.cpu_count = lambda: 2\n"
+            "code = cli.main(['experiment', '--n', '20', '--r', '0.1', '--r-prime', '0.2',\n"
+            "                 '--p', '0.5', '--trials', '8', '--seed', '3', '--jobs', '2',\n"
+            f"                 '--out', {str(tmp_path / 'result.json')!r}])\n"
+            "print(*(p.pid for p in multiprocessing.active_children()))\n"
+            "sys.exit(code)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qrggsim.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        pids = [int(pid) for pid in out.stdout.splitlines()[-1].split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_a_dead_worker_breaks_only_its_own_run(self, monkeypatch):
+        config = small_config(n_relays=20, trials=8)
+        with monkeypatch.context() as m:
+            # Patched before the pool forks, so the workers run the stand-in.
+            m.setattr(experiment, "run_trial", _exit_on_trial_3)
+            with pytest.raises(BrokenProcessPool):
+                run_experiment(config, jobs=2)
+        assert experiment._pool is None
+        assert _worker_pids() == []
+        assert run_experiment(config, jobs=2).to_json() == run_experiment(config, jobs=1).to_json()
+        assert len(_worker_pids()) == 2
+
+    def test_a_dead_worker_is_a_runtime_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(experiment, "run_trial", _exit_on_trial_3)
+        code = main(["experiment", "--n", "20", "--r", "0.1", "--r-prime", "0.2", "--p", "0.5",
+                     "--trials", "8", "--seed", "3", "--jobs", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "runtime failure: " in err
+        assert experiment._pool is None
 
 
 class TestSerialization:
