@@ -206,7 +206,7 @@ def _cmd_generate(args) -> int:
     })
     save_graph(graph, args.out)
     print(
-        f"[qrggsim] wrote {graph.n_nodes} nodes, {len(graph.edge_list())} edges "
+        f"[qrggsim] wrote {graph.n_nodes} nodes, {len(graph.edges)} edges "
         f"to {args.out}",
         file=sys.stderr,
     )

@@ -91,8 +91,8 @@ class ExperimentResult:
 
 
 def run_trial(config: ExperimentConfig, trial_index: int):
-    """One graph draw: (capacity, per-terminal min cuts, source cut,
-    rlnc success fraction or None, cyclic flag or None)."""
+    """One graph draw: (per-terminal min cuts, source cut, the coding
+    check's AchievabilityReport or None)."""
     if not 0 <= trial_index < config.trials:
         raise ValueError("trial index out of range")
     stream = RandomStream.from_seed(config.master_seed).child("trial", trial_index)
@@ -100,17 +100,12 @@ def run_trial(config: ExperimentConfig, trial_index: int):
         config.n_relays, config.n_terminals, config.model, stream
     )
     cuts = [min_cut(graph, t) for t in graph.terminal_ids]
-    capacities = [cut.capacity for cut in cuts]
-    source_cut = graph.source_degree()
-    rlnc_success = None
-    cyclic = None
+    report = None
     if config.rlnc_check:
         report = verify_achievability(
             graph, config.rlnc_trials, stream.child("rlnc"), cuts=cuts
         )
-        cyclic = report.cyclic_skipped
-        rlnc_success = None if report.cyclic_skipped else report.success_fraction
-    return min(capacities), capacities, source_cut, rlnc_success, cyclic
+    return [cut.capacity for cut in cuts], graph.source_degree(), report
 
 
 def _histogram(values: list[int], bins: int | None):
@@ -164,9 +159,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     else:
         outcomes = [run_trial(config, i) for i in indices]
 
-    capacities = [o[0] for o in outcomes]
-    per_terminal = [o[1] for o in outcomes]
-    source_cuts = [o[2] for o in outcomes]
+    per_terminal = [o[0] for o in outcomes]
+    capacities = [min(cuts) for cuts in per_terminal]
+    source_cuts = [o[1] for o in outcomes]
     mean = math.fsum(capacities) / len(capacities)
     if len(capacities) > 1:
         var = math.fsum((c - mean) ** 2 for c in capacities) / (len(capacities) - 1)
@@ -180,9 +175,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     rlnc_success = None
     cyclic_fraction = None
     if config.rlnc_check:
-        cyclic_flags = [o[4] for o in outcomes]
-        cyclic_fraction = sum(1 for c in cyclic_flags if c) / len(cyclic_flags)
-        fractions = [o[3] for o in outcomes if o[3] is not None]
+        reports = [o[2] for o in outcomes]
+        cyclic_fraction = sum(r.cyclic_skipped for r in reports) / len(reports)
+        fractions = [r.success_fraction for r in reports if not r.cyclic_skipped]
         rlnc_success = math.fsum(fractions) / len(fractions) if fractions else None
 
     result = ExperimentResult(

@@ -35,7 +35,7 @@ SCREEN_MARGIN = 2.0**-40
 SCREEN_FLOOR = 2.0**-1068
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectivityGraph:
     n_relays: int
     n_terminals: int
@@ -295,6 +295,23 @@ class Flow:
     hops: np.ndarray
     ends: tuple[int, ...]
 
+    def arcs(self, limit: int) -> np.ndarray:
+        """The arcs u -> v that carry a unit after the first `limit`
+        augmenting paths, as sorted int64 keys u * N + v, N = len(level).
+        Each path's tails are the source, then its hops shifted by one; u -> v
+        carries a unit when the paths hop u -> v more often than v -> u, since
+        opposite hops cancel as the flow's units do. `limit` is clamped to
+        0..value, as in paths."""
+        limit = max(0, min(limit, self.value))
+        n, bounds = len(self.level), (0, *self.ends)
+        heads = self.hops[:bounds[limit]].astype(np.int64)
+        tails = heads[np.arange(len(heads)) - 1]
+        tails[list(bounds[:limit])] = 0  # where a path starts
+        hops, which = np.unique(np.concatenate([tails * n + heads, heads * n + tails]),
+                                return_inverse=True)
+        net = np.bincount(which, np.repeat([1, -1], len(heads)), len(hops))
+        return hops[net > 0]
+
     def paths(self, limit: int | None = None) -> list[list[int]]:
         """The flow of the first `limit` augmenting paths (all when None),
         decomposed into edge-disjoint s->t node paths.
@@ -335,14 +352,14 @@ class Flow:
 class CutResult:
     terminal: int
     partition_vk: tuple[int, ...]  # source-side relays, sorted
-    k: int
     capacity: int
     # The max flow that certifies the cut; None for a cut found by search.
     flow: Flow | None = field(default=None, compare=False, repr=False)
 
 
 def _check_terminal(graph: ConnectivityGraph, terminal: int):
-    if terminal not in graph.terminal_ids:
+    first_t = 1 + graph.n_relays
+    if not (_is_int(terminal) and first_t <= terminal < first_t + graph.n_terminals):
         raise ValueError(f"unknown terminal id {terminal}")
 
 
@@ -406,9 +423,15 @@ def _flow_arcs(graph: ConnectivityGraph, terminal: int):
 def _csr_flow(graph: ConnectivityGraph, terminal: int):
     """_max_flow with each phase's O(E) work in numpy: a frontier BFS sets
     the levels, a backward sweep keeps the level-graph arcs, and the DFS
-    walks the kept arcs in CSR order."""
-    n = graph.n_nodes
+    walks the kept arcs in CSR order. They run on the nodes the arcs touch,
+    with the source and the terminal, renumbered in id order, which keeps
+    every choice; only the final `level` and `hops` are mapped back to node
+    ids, so nodes without arcs cost no phase any memory."""
     tail, head, bound = _flow_arcs(graph, terminal)
+    ids, local = np.unique(np.concatenate([np.array([0, terminal], np.int32), tail, head]),
+                           return_inverse=True)
+    n, t = len(ids), int(local[1])
+    tail, head = local[2:].astype(np.int32).reshape(2, -1)
     # Arc 2k is tail[k] -> head[k] with capacity 1; arc 2k + 1 is its partner.
     frm = np.stack([tail, head], 1).ravel()
     to = np.stack([head, tail], 1).ravel()
@@ -440,15 +463,17 @@ def _csr_flow(graph: ConnectivityGraph, terminal: int):
             layers.append(pos)
             v = to_p[pos]
             level[v[level[v] < 0]] = len(layers)
-            if level[terminal] == len(layers) and flow < bound:
+            if level[t] == len(layers) and flow < bound:
                 break
             frontier = np.flatnonzero(level == len(layers))
-        if level[terminal] < 0 or flow >= bound:
-            return Flow(terminal, flow, level, np.concatenate(hops), tuple(ends))
+        if level[t] < 0 or flow >= bound:
+            node_level = np.full(graph.n_nodes, -1, np.int32)
+            node_level[ids] = level
+            return Flow(terminal, flow, node_level, ids[np.concatenate(hops)], tuple(ends))
         # Backward sweep: reach[v] is v's level once v is known to reach the
         # terminal, else -1.
         reach = np.full(n, -1, np.int32)
-        reach[terminal] = level[terminal]
+        reach[t] = level[t]
         for d in range(len(layers) - 1, -1, -1):
             layers[d] = layers[d][reach[to_p[layers[d]]] == d + 1]
             reach[frm_p[layers[d]]] = d
@@ -463,7 +488,7 @@ def _csr_flow(graph: ConnectivityGraph, terminal: int):
         offset = ends[-1] if ends else 0
         u = 0
         while flow < bound:
-            if u == terminal:
+            if u == t:
                 for k in path:  # each arc is spent for the rest of the phase
                     it[tails[k]] += 1
                 used += path
@@ -632,10 +657,7 @@ def min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:
     _check_terminal(graph, terminal)
     flow = _max_flow(graph, terminal)
     partition = tuple((np.flatnonzero(flow.level[1:1 + graph.n_relays] >= 0) + 1).tolist())
-    return CutResult(
-        terminal=terminal, partition_vk=partition, k=len(partition),
-        capacity=flow.value, flow=flow,
-    )
+    return CutResult(terminal=terminal, partition_vk=partition, capacity=flow.value, flow=flow)
 
 
 def edge_disjoint_paths(
@@ -660,14 +682,11 @@ def multicast_capacity(graph: ConnectivityGraph) -> int:
 # ---------------------------------------------------------------------------
 
 def graph_to_json(graph: ConnectivityGraph) -> dict:
-    positions = (
-        [] if graph.positions is None else [[float(x), float(y)] for x, y in graph.positions]
-    )
     return {
         "n_relays": graph.n_relays,
         "terminals": graph.terminal_ids,
-        "positions": positions,
-        "edges": [[i, j] for i, j in graph.edge_list()],
+        "positions": [] if graph.positions is None else graph.positions.tolist(),
+        "edges": graph.edges.tolist(),
         "model": None if graph.model is None else graph.model.to_json(),
         "seed": graph.seed,
     }

@@ -2,11 +2,10 @@
 
 Achievability checker for the min-cut multicast capacity: each terminal's h
 edge-disjoint paths are the first h augmenting paths of its min-cut flow.
-The arcs those paths take more often than their reverse, read off the
-flows' hops, are unioned into a DAG; one topological sweep orders it and
-levels it by depth, and random local coefficients are propagated as global
-coding vectors. A terminal decodes iff its h incoming vectors have full
-rank over the field.
+The arcs those paths take more often than their reverse (Flow.arcs) are
+unioned into a DAG; one topological sweep orders it and levels it by depth,
+and random local coefficients are propagated as global coding vectors. A
+terminal decodes iff its h incoming vectors have full rank over the field.
 
 Undirected flow unions can be cyclic; the sweep stalls on them, and they are
 reported as a CyclicSkip diagnostic rather than coded convolutionally.
@@ -70,27 +69,10 @@ class CyclicSkip:
     cycle: tuple[int, ...]
 
 
-def _terminal_cuts(graph: ConnectivityGraph, cuts) -> list[CutResult]:
-    """One min_cut result per terminal, in terminal_ids order, each with its
-    flow: `cuts` when it is that, computed when it is None."""
-    if cuts is None:
-        # Through the graph module at call time, so that a wrapper set there
-        # (the benchmark's tracer) sees these flows.
-        return [_graph.min_cut(graph, t) for t in graph.terminal_ids]
-    cuts = list(cuts)
-    if not all(isinstance(c, CutResult) and c.flow is not None for c in cuts) or [
-        c.terminal for c in cuts
-    ] != graph.terminal_ids:
-        raise ValueError("cuts must hold min_cut's result for each terminal, in terminal order")
-    return cuts
-
-
-def build_coding_dag(graph: ConnectivityGraph, rate: int, cuts=None):
-    """Orient each flow-used edge and union across terminals. The paths are
-    the first `rate` augmenting paths of each terminal's min-cut flow:
-    `cuts`, min_cut's result per terminal in terminal order, or computed
-    when None. Edge u-v is an arc u -> v when they hop u -> v more often
-    than v -> u: opposite hops cancel, as the flow's units do.
+def build_coding_dag(flows, rate: int):
+    """Orient each flow-used edge and union across terminals. `flows` holds
+    each terminal's min-cut Flow, in terminal order, and the paths are the
+    first `rate` augmenting paths of each: their arcs are Flow.arcs(rate).
 
     One topological sweep, smallest ready node first (the coefficient draws
     follow this order), orders the nodes and gives each its depth. Returns a
@@ -99,20 +81,12 @@ def build_coding_dag(graph: ConnectivityGraph, rate: int, cuts=None):
     puts both arcs in the union, a cycle of two nodes.
     """
     _require_int("rate", rate, 0)
-    cuts = _terminal_cuts(graph, cuts)
-    if any(cut.capacity < rate for cut in cuts):
+    if any(flow.value < rate for flow in flows):
         raise ValueError("rate exceeds the multicast capacity")
-    n, keys = graph.n_nodes, set()
-    for cut in cuts:
-        bounds = (0, *cut.flow.ends)  # path k: the source, then hops[bounds[k]:bounds[k + 1]]
-        heads = cut.flow.hops[:bounds[rate]].astype(np.int64)
-        tails = heads[np.arange(len(heads)) - 1]
-        tails[list(bounds[:rate])] = graph.source  # where a path starts
-        hops, which = np.unique(np.concatenate([tails * n + heads, heads * n + tails]),
-                                return_inverse=True)
-        net = np.bincount(which, np.repeat([1, -1], len(heads)), len(hops))
-        keys.update(hops[net > 0].tolist())
-    arcs = np.stack(np.divmod(np.array(sorted(keys), np.int64), n), axis=1)
+    n = len(flows[0].level)
+    # Sorted, less repeats: np.unique with no return flag imports numpy.ma.
+    keys = np.sort(np.concatenate([flow.arcs(rate) for flow in flows]))
+    arcs = np.stack(np.divmod(keys[np.diff(keys, prepend=-1) > 0], n), axis=1)
 
     # Local node indices keep the node order, and the arcs, sorted by tail,
     # are their own out-arc CSR.
@@ -144,7 +118,7 @@ def build_coding_dag(graph: ConnectivityGraph, rate: int, cuts=None):
     # Per arc, in coefficient order (its tail's topological position, then
     # arc id): its coefficient count and columns.
     seq = np.argsort(np.argsort(order)[tail], kind="stable")
-    fan_in = np.where(nodes == graph.source, rate, n_in)[tail[seq]]
+    fan_in = np.where(nodes == 0, rate, n_in)[tail[seq]]
     lows = np.repeat((fan_in == 1).astype(np.int64), fan_in)
     k = np.arange(max(rate, n_in.max(initial=0)))
     firsts = np.cumsum(fan_in) - fan_in
@@ -162,7 +136,7 @@ def build_coding_dag(graph: ConnectivityGraph, rate: int, cuts=None):
         w = fan_in[a:b].max()
         levels.append((out[a:b], ins[tail[out[a:b]], :w] if a else None, cols[a:b, :w]))
     # Rows broadcast against columns: at rate 0, with no nodes, no row is read.
-    terminals = np.searchsorted(nodes, graph.terminal_ids)[:, None]
+    terminals = np.searchsorted(nodes, [flow.terminal for flow in flows])[:, None]
     return CodingDag(rate, arcs, nodes[order], levels, lows, ins[terminals, np.arange(rate)])
 
 
@@ -254,9 +228,10 @@ def _count_decoded(vectors: np.ndarray, in_arcs: np.ndarray, field) -> int:
     rank. `in_arcs` is (terminals, h)."""
     h, trials = vectors.shape[1:]
     # Stacked (h, h, terminals * T), each matrix transposed: entry [j, i] is
-    # entry j of in-arc i's vector, and the rank is the same.
-    full = _full_rank(vectors.transpose(1, 0, 2)[:, in_arcs.T].reshape(h, h, -1), field)
-    return int(full.reshape(-1, trials).all(axis=0).sum())
+    # entry j of in-arc i's vector, and the rank is the same. The sizes are
+    # explicit, so that h = 0 stacks empty matrices, which have full rank.
+    stack = vectors.transpose(1, 0, 2)[:, in_arcs.T].reshape(h, h, len(in_arcs) * trials)
+    return int(_full_rank(stack, field).reshape(len(in_arcs), trials).all(axis=0).sum())
 
 
 def verify_achievability(
@@ -268,8 +243,8 @@ def verify_achievability(
 ) -> AchievabilityReport:
     """Random-coding check that the min-cut rate is decodable at every
     terminal. h is fixed to the multicast capacity, the least of the
-    terminals' min cuts: `cuts`, min_cut's result per terminal when the
-    caller already has them, or else computed.
+    terminals' min cuts: `cuts`, min_cut's result per terminal in terminal
+    order when the caller already has them, or else computed.
 
     The coding DAG is build_coding_dag's: the arcs of positive net hop count
     over each terminal's first h augmenting paths, ordered and levelled by
@@ -277,12 +252,22 @@ def verify_achievability(
     edge-disjoint paths end at it, and no other terminal's flow touches it.
     """
     _require_int("trials", trials, 1)
-    cuts = _terminal_cuts(graph, cuts)
+    if cuts is None:
+        # Through the graph module at call time, so that a wrapper set there
+        # (the benchmark's tracer) sees these flows.
+        cuts = [_graph.min_cut(graph, t) for t in graph.terminal_ids]
+    else:
+        cuts = list(cuts)
+        if not all(isinstance(c, CutResult) and c.flow is not None for c in cuts) or [
+            c.terminal for c in cuts
+        ] != graph.terminal_ids:
+            raise ValueError("cuts must hold min_cut's result for each terminal, "
+                             "in terminal order")
     h = min(cut.capacity for cut in cuts)
-    # At rate 0 there is no DAG to build, and every trial decodes; a cyclic
-    # union decodes none.
-    dag = build_coding_dag(graph, h, cuts) if h else None
-    successes = trials if dag is None else 0
+    # A cyclic union decodes no trial; at rate 0 the DAG is empty, and every
+    # trial decodes.
+    dag = build_coding_dag([cut.flow for cut in cuts], h)
+    successes = 0
     if isinstance(dag, CodingDag):
         for first in range(0, trials, CODING_BLOCK):
             block = range(first, min(first + CODING_BLOCK, trials))

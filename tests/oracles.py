@@ -33,7 +33,7 @@ def brute_force_min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:
         for k in range(graph.n_relays + 1)
         for vk in itertools.combinations(graph.relay_ids, k)
     )
-    return CutResult(terminal=terminal, partition_vk=vk, k=len(vk), capacity=capacity)
+    return CutResult(terminal=terminal, partition_vk=vk, capacity=capacity)
 
 
 def estimate_connection_probability(

@@ -57,17 +57,18 @@ class TestRunTrial:
 
     def test_zero_model_gives_zero_capacity(self):
         config = small_config(model=ConnectionModel(r=0.0, r_prime=0.0, p=0.0))
-        capacity, cuts, source_cut, _, _ = run_trial(config, 0)
-        assert capacity == 0
+        cuts, source_cut, _ = run_trial(config, 0)
+        assert min(cuts) == 0
         assert source_cut == 0
         assert cuts == [0, 0]
 
     def test_capacity_bounded_by_source_cut(self):
         config = small_config(n_relays=200, n_terminals=1, trials=3)
+        capacities = run_experiment(config).per_trial_capacity
         for i in range(3):
-            capacity, cuts, source_cut, _, _ = run_trial(config, i)
-            assert 0 <= capacity <= source_cut
-            assert capacity == min(cuts)
+            cuts, source_cut, _ = run_trial(config, i)
+            assert 0 <= min(cuts) <= source_cut
+            assert capacities[i] == min(cuts)
 
     def test_one_max_flow_per_terminal_with_the_coding_check(self, monkeypatch):
         # The coding check takes its paths from the min-cut flows run_trial
@@ -81,8 +82,8 @@ class TestRunTrial:
 
         monkeypatch.setattr(graph_module, "_max_flow", counted)
         config = small_config(n_relays=200, n_terminals=4, trials=1, rlnc_check=True)
-        capacity, _, _, rlnc_success, _ = run_trial(config, 0)
-        assert capacity > 0 and rlnc_success is not None  # the check built its DAG
+        cuts, _, report = run_trial(config, 0)
+        assert min(cuts) > 0 and not report.cyclic_skipped  # the check built its DAG
         assert sorted(calls) == [201, 202, 203, 204]
 
     def test_index_guard(self):
@@ -102,8 +103,8 @@ class TestRunTrial:
             "model = ConnectionModel(r=0.1, r_prime=0.2, kernel='fixed', p=0.5)\n"
             "config = ExperimentConfig(n_relays=60, n_terminals=2, model=model, trials=1,\n"
             "                          master_seed=4, rlnc_check=True)\n"
-            "capacity, _, _, success, skipped = run_trial(config, 0)\n"
-            "assert capacity > 0 and success is not None and not skipped\n"
+            "cuts, _, report = run_trial(config, 0)\n"
+            "assert min(cuts) > 0 and not report.cyclic_skipped\n"
             "from_edges(2, 1, [[2, 1], [1, 2], [0, 1], [0, 1], [2, 3]])\n"
             "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.split('.')[0] == 'scipy'))\n"
         )

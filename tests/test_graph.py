@@ -94,6 +94,15 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_connectivity_graph(0, 1, FIG3, RandomStream.from_seed(0))
 
+    def test_graphs_compare_and_hash_by_identity(self):
+        # A graph is its arrays, which == cannot compare: like a Flow, two
+        # graphs of the same edges are two objects, and a graph can key a
+        # dict or sit in a set.
+        a, b = butterfly_graph(), butterfly_graph()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+        assert {a: 1}[a] == 1
+
 
 def _all_pairs_within(positions, radius):
     """Reference for the near-pair search: every pair (i < j) in row-major
@@ -345,6 +354,20 @@ class TestMinCut:
         # s-r1, s-r2, r1-t, r2-t, r1-r2: min cut 2 over all 4 partitions
         g = from_edges(2, 1, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)])
         assert min_cut(g, 3).capacity == 2
+
+    def test_terminal_must_be_an_int_id(self):
+        # A numpy integer and a float reached the flow engines and failed
+        # there; every function that takes a terminal refuses them by name,
+        # as it refuses True, also where True equals the terminal's id 1.
+        g = butterfly_graph()
+        t = g.terminal_ids[0]
+        lone = from_edges(0, 1, [])
+        cases = [(g, np.int64(t)), (g, np.int32(t)), (g, float(t)), (g, str(t)), (lone, True)]
+        for graph, bad in cases:
+            for check in (min_cut, edge_disjoint_paths, lambda g, t: cut_capacity(g, t, [])):
+                with pytest.raises(ValueError) as info:
+                    check(graph, bad)
+                assert str(info.value) == f"unknown terminal id {bad}"
 
     def test_disconnected_terminal(self):
         g = from_edges(2, 1, [(0, 1), (0, 2)])
@@ -777,6 +800,30 @@ class TestFlowReplay:
         assert flow.paths(2) == [[0, 1, 5, 6, 15], [0, 3, 4, 2, 15]]
         assert assert_replay_takes_disjoint_paths(g, 15, flow) == 5
 
+    def test_arcs_are_the_replayed_paths_arcs_at_every_limit(self):
+        # Flow.arcs nets the hops in numpy, Flow.paths replays them in
+        # Python: at every limit, the arcs carrying a unit are the paths'
+        # consecutive pairs, each once, and both clamp a limit outside
+        # 0..value. The graphs are FLOW_PIN's, and the cancelled-arc chain.
+        graphs = [random_graph(seed, n_relays=30, n_terminals=2 + seed % 3)
+                  for seed in range(30)]
+        graphs += [build_connectivity_graph(200, 2 + seed % 3, FIG3, RandomStream.from_seed(seed))
+                   for seed in range(10)]
+        graphs.append(from_edges(14, 1, [
+            (0, 1), (1, 2), (2, 15), (0, 3), (3, 4), (2, 4), (1, 5), (5, 6), (6, 15),
+            (0, 8), *[(k, k + 1) for k in range(8, 14)], (14, 15)]))
+        limits = 0
+        for g in graphs:
+            for t in g.terminal_ids:
+                flow = min_cut(g, t).flow
+                for limit in range(-1, flow.value + 2):
+                    replay = sorted(u * g.n_nodes + v for path in flow.paths(limit)
+                                    for u, v in zip(path, path[1:]))
+                    arcs = flow.arcs(limit)
+                    assert arcs.dtype == np.int64 and arcs.tolist() == replay, (t, limit)
+                    limits += 1
+        assert limits > 1000
+
     def test_min_cut_carries_its_flow_outside_equality(self):
         g = butterfly_graph()
         cut = min_cut(g, 5)
@@ -911,6 +958,23 @@ class TestFlowEngines:
         assert_same_flow(min_cut(lone, lone.terminal_ids[0]).flow,
                          _csr_flow(lone, lone.terminal_ids[0]))
         assert "_rows" not in vars(lone)
+
+    def test_sparse_flow_memory_does_not_grow_with_idle_nodes(self):
+        # Three edges among a million relays: the phases run on the four
+        # nodes the arcs touch, so what is left per relay is the Flow's int32
+        # level and min_cut's mask over it, 5 bytes. Phases over every node
+        # would take 36.
+        n = 10**6
+        g = from_edges(n, 1, [(0, 1), (1, 2), (2, n + 1)])
+        tracemalloc.start()
+        try:
+            cut = min_cut(g, n + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cut.capacity == 1 and cut.flow.paths() == [[0, 1, 2, n + 1]]
+        assert cut.flow.level.shape == (n + 2,)
+        assert peak < 8 * n, peak / n
 
     def test_cancellation_from_the_upper_endpoint(self):
         # The mirror of test_replay_across_a_cancelled_arc: phase 1 routes

@@ -37,6 +37,11 @@ def assert_cycle_in_graph(skip, graph, min_nodes):
         assert (min(u, v), max(u, v)) in edges
 
 
+def flows(graph):
+    """Each terminal's min-cut flow, in terminal order."""
+    return [min_cut(graph, t).flow for t in graph.terminal_ids]
+
+
 def dag_fields(dag):
     """A CodingDag's arcs, order and plan as plain lists."""
     return (dag.rate, dag.arcs.tolist(), dag.topo_order.tolist(),
@@ -89,14 +94,14 @@ class TestXorRelayDemo:
 class TestBuildCodingDag:
     def test_single_path_two_arc_chain(self):
         g = from_edges(1, 1, [(0, 1), (1, 2)])
-        dag = build_coding_dag(g, 1)
+        dag = build_coding_dag(flows(g), 1)
         assert isinstance(dag, CodingDag)
         assert dag.arcs.tolist() == [[0, 1], [1, 2]]
         assert dag.topo_order.tolist() == [0, 1, 2]
 
     def test_butterfly_orients_bottleneck_toward_terminals(self):
         g = butterfly_graph()
-        dag = build_coding_dag(g, 2)
+        dag = build_coding_dag(flows(g), 2)
         assert isinstance(dag, CodingDag)
         arcs = dag.arcs.tolist()
         assert [3, 4] in arcs  # mixing relay feeds the shared hop
@@ -109,7 +114,7 @@ class TestBuildCodingDag:
         assert all(pos[u] < pos[v] for u, v in arcs)
 
     def test_rate_zero_gives_an_empty_dag(self):
-        dag = build_coding_dag(butterfly_graph(), 0)
+        dag = build_coding_dag(flows(butterfly_graph()), 0)
         assert isinstance(dag, CodingDag)
         assert dag.arcs.shape == (0, 2) and dag.topo_order.size == 0
         assert dag.levels == [] and dag.lows.size == 0
@@ -121,25 +126,25 @@ class TestBuildCodingDag:
     def test_rate_must_be_a_non_negative_int_and_not_a_bool(self, rate, shown):
         # True would build a rate-1 DAG that says rate=True.
         with pytest.raises(ValueError) as info:
-            build_coding_dag(butterfly_graph(), rate)
+            build_coding_dag(flows(butterfly_graph()), rate)
         assert str(info.value) == f"rate must be an integer >= 0, not {shown}"
 
     def test_rate_above_capacity_rejected(self):
         g = butterfly_graph()
         with pytest.raises(ValueError):
-            build_coding_dag(g, 3)
+            build_coding_dag(flows(g), 3)
 
     def test_opposing_orientations_yield_cyclic_skip(self, cyclic_graph):
         h = multicast_capacity(cyclic_graph)
         assert h >= 1
-        result = build_coding_dag(cyclic_graph, h)
+        result = build_coding_dag(flows(cyclic_graph), h)
         assert isinstance(result, CyclicSkip)
         assert_cycle_in_graph(result, cyclic_graph, 2)
 
     def test_cycle_through_several_edges_yields_cyclic_skip(self, long_cycle_graph):
         # No edge is used both ways, so the cycle the sort reports has 3+ nodes.
         assert multicast_capacity(long_cycle_graph) == 3
-        result = build_coding_dag(long_cycle_graph, 3)
+        result = build_coding_dag(flows(long_cycle_graph), 3)
         assert isinstance(result, CyclicSkip)
         assert_cycle_in_graph(result, long_cycle_graph, 3)
         cuts = [min_cut(long_cycle_graph, t) for t in long_cycle_graph.terminal_ids]
@@ -158,7 +163,8 @@ class TestBuildCodingDag:
         g = from_edges(14, 1, edges)
         cuts = [min_cut(g, 15)]
         for rate in range(4):
-            arcs = [tuple(arc) for arc in build_coding_dag(g, rate, cuts).arcs.tolist()]
+            dag = build_coding_dag([cuts[0].flow], rate)
+            arcs = [tuple(arc) for arc in dag.arcs.tolist()]
             assert arcs == replay_arcs(cuts, rate)
             assert ((first_hop, other) in arcs) == (rate == 1) and (other, first_hop) not in arcs
 
@@ -178,7 +184,7 @@ class TestCodingDagMatchesReferences:
             g = build_connectivity_graph(n, tau, model, RandomStream.from_seed(seed))
             cuts = [min_cut(g, t) for t in g.terminal_ids]
             h = min(cut.capacity for cut in cuts)
-            dag = build_coding_dag(g, h, cuts)
+            dag = build_coding_dag([cut.flow for cut in cuts], h)
             arcs = replay_arcs(cuts, h)
             try:
                 order = reference_order(arcs)
@@ -234,7 +240,7 @@ class TestVerifyAchievability:
         for seed in range(30):
             g = build_connectivity_graph(8, 2, model, RandomStream.from_seed(seed))
             h = multicast_capacity(g)
-            dag = build_coding_dag(g, h)
+            dag = build_coding_dag(flows(g), h)
             if isinstance(dag, CyclicSkip):
                 continue
             report = verify_achievability(g, 20, RandomStream.from_seed(seed + 1))
@@ -261,9 +267,8 @@ class TestVerifyAchievability:
         for bad in (cuts[:1], cuts[::-1], oracle, [cut.capacity for cut in cuts], []):
             with pytest.raises(ValueError):
                 verify_achievability(g, 8, RandomStream.from_seed(1), cuts=bad)
-            with pytest.raises(ValueError):
-                build_coding_dag(g, 2, bad)
-        assert dag_fields(build_coding_dag(g, 2, cuts)) == dag_fields(build_coding_dag(g, 2))
+        given = build_coding_dag([cut.flow for cut in cuts], 2)
+        assert dag_fields(given) == dag_fields(build_coding_dag(flows(g), 2))
 
     def test_binary_field_fails_visibly_more_often(self):
         g = butterfly_graph()
@@ -322,7 +327,7 @@ class TestDecodeProbability:
             cuts = [min_cut(g, t) for t in g.terminal_ids]
             if cuts[0].capacity == 0:
                 continue
-            dag = build_coding_dag(g, cuts[0].capacity, cuts)
+            dag = build_coding_dag([cut.flow for cut in cuts], cuts[0].capacity)
             if isinstance(dag, CyclicSkip):
                 continue
             p = predicted_decode_probability(g, dag, g.terminal_ids[0], GF256.order)
@@ -344,7 +349,7 @@ def _rlnc_record(graphs):
     achievability reports in both fields; also the number of cyclic graphs."""
     records, cyclic = [], 0
     for seed, g in enumerate(graphs):
-        dag = build_coding_dag(g, multicast_capacity(g))
+        dag = build_coding_dag(flows(g), multicast_capacity(g))
         if isinstance(dag, CyclicSkip):
             cyclic += 1
             records.append("cyclic")
@@ -439,7 +444,7 @@ class TestBlockedCheckMatchesReference:
         failures = {GF2: 0, GF256: 0}
         for seed, (g, field, trials) in enumerate(cases):
             report = verify_achievability(g, trials, RandomStream.from_seed(seed), field=field)
-            dag = build_coding_dag(g, report.h) if report.h else None
+            dag = build_coding_dag(flows(g), report.h) if report.h else None
             if not isinstance(dag, CodingDag):
                 continue
             expected = reference_successes(g, dag, trials, RandomStream.from_seed(seed), field)
@@ -470,7 +475,8 @@ class TestCodingMemory:
             finally:
                 tracemalloc.stop()
 
-        flows_peak, dag = traced_peak(lambda: build_coding_dag(g, min(c.capacity for c in cuts)))
+        flows_peak, dag = traced_peak(
+            lambda: build_coding_dag(flows(g), min(c.capacity for c in cuts)))
         # A block's largest arrays (the global vectors, the terminals'
         # matrices and the products that build them) each hold at most
         # CODING_BLOCK x arcs x h cells; allowing 8-byte index copies
