@@ -2,7 +2,8 @@
 
 Node ids are fixed by construction: 0 is the source, 1..n_relays are relays,
 and the next n_terminals ids are terminals. A graph is its unit edges, held
-as a sorted array of (i, j) rows with i < j; source-terminal and
+as a sorted array of (i, j) rows with i < j, stored by column so that each
+of i and j is contiguous; source-terminal and
 terminal-terminal edges are forbidden (messages always pass through at least
 one relay, and terminal-terminal proximity can never carry source-to-terminal
 flow).
@@ -39,7 +40,9 @@ SCREEN_FLOOR = 2.0**-1068
 class ConnectivityGraph:
     n_relays: int
     n_terminals: int
-    edges: np.ndarray  # (E, 2) int64 rows (i, j), i < j, lexicographically sorted, unique
+    # (E, 2) integer rows (i, j), i < j, lexicographically sorted, unique;
+    # build_connectivity_graph and from_edges store each column contiguously.
+    edges: np.ndarray
     positions: np.ndarray | None = None
     model: ConnectionModel | None = None
     seed: int | None = None
@@ -49,21 +52,27 @@ class ConnectivityGraph:
             raise ValueError("node counts must be non-negative")
         n_total = self.n_nodes
         # Node ids must fit the flows' int32 arrays; the build's pair keys
-        # ((i << s) | j) << 1 then fit in 2 * 31 + 1 bits.
+        # ((i << s) | j) << 1 then fit in 2 * 31 + 1 bits (_key_dtype).
         if n_total > 2**31:
             raise ValueError(f"a graph holds at most 2**31 nodes, not {n_total}")
         e = self.edges
         if e.ndim != 2 or e.shape[1] != 2 or not np.issubdtype(e.dtype, np.integer):
             raise ValueError("edges must be an (E, 2) integer array")
         i, j = e[:, 0], e[:, 1]
-        if np.any(i < 0) or np.any(j >= n_total) or np.any(i >= j):
+        if len(e) and (i.min() < 0 or j.max() >= n_total or np.any(i >= j)):
             raise ValueError(f"edges need 0 <= i < j < {n_total}")
-        if np.any(np.diff(i * n_total + j) <= 0):
+        # In int64 whatever the edges' dtype: i * n_total + j < 2**62, which
+        # int32 would wrap.
+        key = i.astype(np.int64, copy=False) * n_total + j
+        if np.any(key[1:] <= key[:-1]):
             raise ValueError("edges must be sorted and unique")
+        # Sorted rows hold the source's edges as the first run and any
+        # terminal-terminal edge last.
         first_t = 1 + self.n_relays
-        if np.any((i == 0) & (j >= first_t)):
+        k = int(np.searchsorted(i, 1))
+        if k and j[k - 1] >= first_t:
             raise ValueError("source-terminal edges are forbidden")
-        if np.any(i >= first_t):
+        if len(e) and i[-1] >= first_t:
             raise ValueError("terminal-terminal edges are forbidden")
         if self.positions is not None and self.positions.shape != (n_total, 2):
             raise ValueError(f"positions must have shape ({n_total}, 2)")
@@ -111,7 +120,7 @@ def from_edges(
     """Build a graph from an explicit edge list (fixtures, JSON loading).
 
     Pairs may come in either orientation and repeat; each becomes one (i, j)
-    row with i < j.
+    row with i < j, stored by column as the build stores them.
     """
     e = np.asarray(edges)
     if e.size == 0:
@@ -121,7 +130,7 @@ def from_edges(
         # importing numpy.ma.
         e = np.sort(e, axis=1)
         e = e[np.lexsort(e.T[::-1])]
-        e = e[np.r_[True, np.any(e[1:] != e[:-1], axis=1)]]
+        e = np.asfortranarray(e[np.r_[True, np.any(e[1:] != e[:-1], axis=1)]])
     pos = None if positions is None else np.asarray(positions, dtype=float)
     return ConnectivityGraph(n_relays, n_terminals, e, pos, model, seed)
 
@@ -154,35 +163,50 @@ def build_connectivity_graph(
     keys = _near_pairs(positions, model.r_prime, model.r)
     shift = _key_shift(n_total)
     # The sorted keys hold the source-terminal pairs (0, j >= first_t) as one
-    # run and the terminal-terminal pairs (i >= first_t) as the last run.
+    # run and the terminal-terminal pairs (i >= first_t) as the last run. The
+    # cuts share the keys' dtype: any other makes searchsorted copy the keys.
     first_t = 1 + n_relays
-    cuts = np.array([first_t, 1 << shift, first_t << shift]) << 1
+    cuts = np.array([first_t, 1 << shift, first_t << shift], keys.dtype) << 1
     st_lo, st_hi, tt_lo = np.searchsorted(keys, cuts)
     keys = np.concatenate([keys[:st_lo], keys[st_hi:tt_lo]])
 
     accept = (keys & 1) == 0
-    annulus = np.flatnonzero(~accept)
+    annulus = (~accept).nonzero()[0]
+    # Annulus pair k takes draw u_k and connects iff u_k < its probability;
+    # a probability of 0 or 1 settles the pair without a draw.
     if model.kernel == KERNEL_FIXED:
-        probs = np.broadcast_to(model.p, annulus.shape)
+        if model.p >= 1.0:
+            accept[annulus] = True
+        elif model.p > 0.0:
+            accept[annulus] = edge_rng.random(len(annulus)) < model.p
     else:
         probs = kernel_probability(_pair_distances(positions, keys[annulus] >> 1, shift), model)
-    accept[annulus] = probs >= 1.0
-    draw = (probs > 0.0) & (probs < 1.0)
-    accept[annulus[draw]] = edge_rng.random(np.count_nonzero(draw)) < probs[draw]
+        accept[annulus] = probs >= 1.0
+        draw = ((probs > 0.0) & (probs < 1.0)).nonzero()[0]
+        accept[annulus[draw]] = edge_rng.random(len(draw)) < probs[draw]
 
-    keys = keys[accept]
-    edges = np.empty((len(keys), 2), dtype=np.int64)
-    np.right_shift(keys, shift + 1, out=edges[:, 0])
+    # Gathers by index: a boolean mask takes several times as long.
+    keys = keys[accept.nonzero()[0]]
+    columns = np.empty((2, len(keys)), dtype=np.int64)
+    np.right_shift(keys, shift + 1, out=columns[0])
     keys >>= 1
-    np.bitwise_and(keys, (1 << shift) - 1, out=edges[:, 1])
+    np.bitwise_and(keys, (1 << shift) - 1, out=columns[1])
     return ConnectivityGraph(
-        n_relays, n_terminals, edges, positions, model, int(rng.master_seed)
+        n_relays, n_terminals, columns.T, positions, model, int(rng.master_seed)
     )
 
 
 def _key_shift(n: int) -> int:
     """Bits of j in the pair key (i << shift) | j of a graph of n nodes."""
     return max(n - 1, 0).bit_length()
+
+
+def _key_dtype(n: int) -> type:
+    """The smallest dtype that holds the build's pair keys of a graph of n
+    nodes, ((i << shift) | j) << 1 | 1 at most: int32 up to n = 2**15, where
+    they take 2 * shift + 1 <= 31 bits, else int64. int32 keys sort about
+    twice as fast."""
+    return np.int32 if 2 * _key_shift(n) + 1 <= 31 else np.int64
 
 
 def _pair_distances(positions: np.ndarray, keys: np.ndarray, shift: int) -> np.ndarray:
@@ -196,9 +220,10 @@ def _pair_distances(positions: np.ndarray, keys: np.ndarray, shift: int) -> np.n
 
 
 def _near_pairs(positions: np.ndarray, radius: float, inner: float) -> np.ndarray:
-    """All pairs (i < j) at np.hypot distance <= radius, as sorted int64 keys
-    ((i << shift) | j) << 1 | annulus with shift = _key_shift(N): the low bit
-    is the pair's class, annulus being np.hypot distance > inner.
+    """All pairs (i < j) at np.hypot distance <= radius, as sorted keys
+    ((i << shift) | j) << 1 | annulus of dtype _key_dtype(N), with shift =
+    _key_shift(N): the low bit is the pair's class, annulus being np.hypot
+    distance > inner.
 
     A fixed-radius near-neighbour search over vertical strips (Bentley,
     Stanat & Williams, 1977). The strips have width > radius / 2, with a
@@ -212,8 +237,9 @@ def _near_pairs(positions: np.ndarray, radius: float, inner: float) -> np.ndarra
     rides through the one sort, so it needs no argsort.
     """
     n = len(positions)
+    dtype = _key_dtype(n)
     if n < 2:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=dtype)
     m = max(1, min(math.isqrt(n), int(2 / max(radius * (1 + 1e-9), 1 / n))))
     strip = np.minimum((positions[:, 0] * m).astype(np.intp), m - 1)
     # Strip c holds the keys 4c + y in [4c, 4c + 1], so a window y +- w
@@ -222,6 +248,7 @@ def _near_pairs(positions: np.ndarray, radius: float, inner: float) -> np.ndarra
     order = np.argsort(key)
     key = key[order]
     x, y = positions[order].T.copy()
+    ids = order.astype(dtype)
     # The slack covers the rounding of 4c + y, of the window bounds and of y - y'.
     w = min(radius, 1.0) + 8 * np.spacing(8.0 * (m + 1))
     bounds = np.searchsorted(key, key[:, None] + np.array([w, 4 - w, 4 + w, 8 - w, 8 + w]))
@@ -232,7 +259,7 @@ def _near_pairs(positions: np.ndarray, radius: float, inner: float) -> np.ndarra
     count = bounds[:, 0::2].ravel() - first
     total = np.cumsum(count)
     shift = _key_shift(n)
-    keys = [np.empty(0, dtype=np.int64)]
+    keys = [np.empty(0, dtype=dtype)]
     # Chunks of whole ranges, each from the range holding candidate k * CHUNK.
     starts = np.searchsorted(total, np.arange(0, total[-1], NEAR_PAIR_CHUNK), "right")
     cuts = [*dict.fromkeys(starts.tolist()), 3 * n]
@@ -248,9 +275,9 @@ def _near_pairs(positions: np.ndarray, radius: float, inner: float) -> np.ndarra
         dx *= dx
         dy *= dy
         dx += dy
-        near = ~_beyond(dx, radius, x, y, a, b)
+        near = (~_beyond(dx, radius, x, y, a, b)).nonzero()[0]
         a, b = a[near], b[near]
-        i, j = order[a], order[b]
+        i, j = ids[a], ids[b]
         key_ij = np.minimum(i, j)
         key_ij <<= shift
         key_ij |= np.maximum(i, j, out=j)
@@ -271,7 +298,7 @@ def _beyond(s: np.ndarray, radius: float, x, y, a, b) -> np.ndarray:
     """
     r2 = radius * radius
     out = s > r2 * (1 + SCREEN_MARGIN) + SCREEN_FLOOR
-    doubt = np.flatnonzero(out != (s > r2 * (1 - SCREEN_MARGIN) - SCREEN_FLOOR))
+    doubt = (out != (s > r2 * (1 - SCREEN_MARGIN) - SCREEN_FLOOR)).nonzero()[0]
     if doubt.size:
         a, b = a[doubt], b[doubt]
         out[doubt] = np.hypot(x[a] - x[b], y[a] - y[b]) > radius
@@ -360,7 +387,7 @@ class CutResult:
 def _check_terminal(graph: ConnectivityGraph, terminal: int):
     first_t = 1 + graph.n_relays
     if not (_is_int(terminal) and first_t <= terminal < first_t + graph.n_terminals):
-        raise ValueError(f"unknown terminal id {terminal}")
+        raise ValueError(f"unknown terminal id {terminal!r}")
 
 
 def cut_capacity(graph: ConnectivityGraph, terminal: int, partition_vk) -> int:
@@ -647,7 +674,7 @@ def _residual_rows(graph: ConnectivityGraph) -> list[int]:
 def _bit_ids(bits: int, width: int) -> list[int]:
     """The set bits of a row, ascending."""
     b = np.frombuffer(bits.to_bytes(width, "little"), np.uint8)
-    return np.flatnonzero(np.unpackbits(b, bitorder="little")).tolist()
+    return np.unpackbits(b, bitorder="little").nonzero()[0].tolist()
 
 
 def min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:

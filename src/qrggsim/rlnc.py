@@ -81,6 +81,8 @@ def build_coding_dag(flows, rate: int):
     puts both arcs in the union, a cycle of two nodes.
     """
     _require_int("rate", rate, 0)
+    if not flows:
+        raise ValueError("need at least one terminal")
     if any(flow.value < rate for flow in flows):
         raise ValueError("rate exceeds the multicast capacity")
     n = len(flows[0].level)
@@ -252,6 +254,8 @@ def verify_achievability(
     edge-disjoint paths end at it, and no other terminal's flow touches it.
     """
     _require_int("trials", trials, 1)
+    if graph.n_terminals < 1:
+        raise ValueError("need at least one terminal")
     if cuts is None:
         # Through the graph module at call time, so that a wrapper set there
         # (the benchmark's tracer) sees these flows.

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import types
 from pathlib import Path
 
 import pytest
@@ -52,8 +53,10 @@ def test_main_writes_runs_summary_and_stage_rows(bench_file, tmp_path, monkeypat
     assert rows["60 sparse"]["n"] == 60 and rows["60 sparse"]["model"]["r_prime"] == 0.05
     for row in rows.values():
         assert row["graphs"] == 2 and row["build_ms"] > 0 and row["min_cut_ms"] > 0
+        assert row["build_minflt"] >= 0 and row["min_cut_minflt"] >= 0
         assert row["mean_degree"] >= 0
     assert "rlnc_ms" not in rows["30"] and rows["30"]["terminals"] == 1
+    assert "rlnc_minflt" not in rows["30 x3 rlnc"]
     coding = rows["30 x3 rlnc"]
     assert (coding["terminals"], coding["coding_trials"]) == (3, 4) and coding["rlnc_ms"] > 0
 
@@ -78,6 +81,7 @@ def test_parent_src_alternates_the_trees_and_keeps_both_medians(bench_file, tmp_
         slow = src.name == "parent" or calls.count("change") == 3
         scale = 2e-3 if slow else 1e-3
         return {"build": [2 * scale, 3 * scale], "min_cut": [scale, scale],
+                "build_minflt": [0, 2000] if slow else [0, 0], "min_cut_minflt": [1, 3],
                 "mean_degree": 5.0}
 
     monkeypatch.setattr(bench_file, "time_in_child", fake_child)
@@ -94,6 +98,9 @@ def test_parent_src_alternates_the_trees_and_keeps_both_medians(bench_file, tmp_
     assert row["build_ms"] == pytest.approx(3.0)  # of 2, 3 (three rounds) and 4, 6
     assert row["build_ratio"] == pytest.approx(0.5)  # of 0.5 (three rounds) and 1
     assert (row["build_faster_rounds"], row["min_cut_faster_rounds"]) == (3, 3)
+    # Faults pool over rounds as times do: of 0, 0 (three rounds) and 0, 2000.
+    assert (row["build_minflt"], row["parent_build_minflt"]) == (0, 1000)
+    assert row["min_cut_minflt"] == row["parent_min_cut_minflt"] == 2
     # 3 of 4: the tails 0, 1 and 3, 4 hold 10 of the 16 outcomes.
     assert row["build_sign_p"] == row["min_cut_sign_p"] == pytest.approx(10 / 16)
     printed = capsys.readouterr().out
@@ -110,11 +117,26 @@ def test_parent_src_times_each_tree_in_its_own_process(bench_file, tmp_path, mon
     stages = bench_file.stage_medians(src, src)
     row = stages["medians"]["30 x2 rlnc"]
     assert row["rounds"] == 2 and row["mean_degree"] == row["parent_mean_degree"]
+    for stage in ("build", "min_cut"):
+        assert row[f"{stage}_minflt"] >= 0 and row[f"parent_{stage}_minflt"] >= 0
     for stage in ("build", "min_cut", "rlnc"):
         assert row[f"{stage}_ms"] > 0 and row[f"parent_{stage}_ms"] > 0
         assert row[f"{stage}_ratio"] > 0
         assert 0 <= row[f"{stage}_faster_rounds"] <= 2
         assert row[f"{stage}_sign_p"] in (0.5, 1.0)
+
+
+def test_stage_times_counts_minor_faults_around_each_stage(bench_file, monkeypatch):
+    # ru_minflt as three reads per graph see it: before the build, between
+    # the build and min_cut, and after min_cut.
+    reads = iter([0, 5, 7, 10, 12, 19])
+    fake = types.SimpleNamespace(
+        RUSAGE_SELF=0, getrusage=lambda who: types.SimpleNamespace(ru_minflt=next(reads)))
+    monkeypatch.setattr(bench_file, "resource", fake)
+    src = str(TOOL.parent.parent / "src")
+    times = bench_file.stage_times(src, 30, 1, 2, bench_file.FIG3, 0)
+    assert times["build_minflt"] == [5, 2] and times["min_cut_minflt"] == [2, 7]
+    assert len(times["build"]) == len(times["min_cut"]) == 2
 
 
 @pytest.mark.parametrize("faster,rounds,p", [

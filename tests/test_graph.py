@@ -30,6 +30,7 @@ from qrggsim import graph as graph_module
 from qrggsim.graph import (
     _bitset_flow,
     _csr_flow,
+    _key_dtype,
     _key_shift,
     _max_flow,
     _near_pairs,
@@ -238,7 +239,52 @@ class TestNearPairs:
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_points_have_no_pairs(self, n):
         keys = _near_pairs(np.full((n, 2), 0.5), 0.2, 0.1)
-        assert keys.dtype == np.int64 and keys.shape == (0,)
+        assert keys.dtype == _key_dtype(n) == np.int32 and keys.shape == (0,)
+
+    @pytest.mark.parametrize("side, dtype, pairs", [(181, np.int32, 10), (182, np.int64, 8)])
+    def test_keys_take_int32_up_to_2_to_the_15_nodes(self, side, dtype, pairs):
+        # A side x side lattice, spaced wider than the radius, then hand-placed
+        # points (some on lattice points), the last two in each other's
+        # annulus: their key is the largest. 181**2 + 7 = 2**15 nodes fill int32 keys to 2**31 - 1;
+        # with 182**2 + 7 nodes, ids pass 2**15 and the keys take int64.
+        radius, inner = 0.002, 0.001
+        lattice = [(k / (side - 1), l / (side - 1)) for k in range(side) for l in range(side)]
+        a, b = lattice[side + 1], lattice[-side - 2]
+        extra = [(a[0] + 0.0005, a[1]), (a[0], a[1] + 0.0015), (b[0] + 0.0012, b[1] - 0.0009),
+                 (0.5, 0.5), (0.5, 0.5), (0.25, 0.75), (0.25, 0.7515)]
+        positions = np.array(lattice + extra)
+        n = len(positions)
+        assert (n <= 2**15) == (dtype == np.int32)
+        keys = _near_pairs(positions, radius, inner)
+        assert keys.dtype == _key_dtype(n) == dtype
+        shift = _key_shift(n)
+        assert keys.max() == (((n - 2) << shift | (n - 1)) << 1 | 1)
+        # Lattice points are over radius apart, so every pair has an extra
+        # point, which has the larger id: the reference is each extra point
+        # against every point before it.
+        ref = []
+        for j in range(side * side, n):
+            d = np.hypot(*(positions[:j] - positions[j]).T)
+            ref += [(i, j, bool(d[i] > inner)) for i in np.flatnonzero(d <= radius).tolist()]
+        iu, ju, annulus = _near_pair_classes(positions, radius, inner)
+        assert list(zip(iu.tolist(), ju.tolist(), annulus.tolist())) == sorted(ref)
+        assert len(ref) == pairs and ref[-1] == (n - 2, n - 1, True)
+
+    def test_build_above_2_to_the_15_nodes_matches_a_kd_tree(self):
+        # int64 keys through the whole build; r == r' and p = 1 connect every
+        # role-allowed pair within r'.
+        from scipy.spatial import cKDTree
+
+        model = ConnectionModel(0.004, 0.004, "fixed", 1.0)
+        g = build_connectivity_graph(2**15, 2, model, RandomStream.from_seed(3))
+        assert g.n_nodes > 2**15
+        pairs = cKDTree(g.positions).query_pairs(model.r_prime, output_type="ndarray")
+        iu, ju = np.sort(pairs, axis=1).T
+        first_t = 1 + g.n_relays
+        allowed = (ju < first_t) | ((iu > 0) & (iu < first_t))
+        ref = np.stack([iu[allowed], ju[allowed]], 1)
+        np.testing.assert_array_equal(g.edges, ref[np.lexsort(ref.T[::-1])])
+        assert (g.edges >= 2**15).any() and len(g.edges) > 10_000
 
     def test_tiny_radius_keeps_the_grid_small(self):
         # 2 / r' would be 2e9 cells a side; the grid keeps about N cells.
@@ -367,7 +413,7 @@ class TestMinCut:
             for check in (min_cut, edge_disjoint_paths, lambda g, t: cut_capacity(g, t, [])):
                 with pytest.raises(ValueError) as info:
                     check(graph, bad)
-                assert str(info.value) == f"unknown terminal id {bad}"
+                assert str(info.value) == f"unknown terminal id {bad!r}"
 
     def test_disconnected_terminal(self):
         g = from_edges(2, 1, [(0, 1), (0, 2)])
@@ -536,19 +582,48 @@ class TestJson:
             with pytest.raises(ValueError):
                 from_edges(3, 1, bad)
 
-    @pytest.mark.parametrize("rows", [
-        [[1, 2], [0, 1]],  # unsorted
-        [[0, 1], [0, 1]],  # duplicate
-        [[0, 1], [3, 6]],  # out of range
-        [[-1, 1]],         # negative id
-        [[2, 1]],          # i > j
-        [[1, 1]],          # self-loop
-        [[0, 4]],          # source-terminal
-        [[4, 5]],          # terminal-terminal
-    ])
-    def test_constructor_rejects_non_canonical_rows(self, rows):
-        with pytest.raises(ValueError):
-            ConnectivityGraph(3, 2, np.array(rows, dtype=np.int64))
+    @pytest.mark.parametrize("rows, rule", [
+        ([[1, 2], [0, 1]], "sorted"),                    # unsorted
+        ([[0, 1], [0, 1]], "sorted"),                    # duplicate
+        ([[0, 1], [3, 6]], "range"),                     # out of range
+        ([[-1, 1]], "range"),                            # negative id
+        ([[2, 1]], "range"),                             # i > j
+        ([[1, 1]], "range"),                             # self-loop
+        ([[0, 4]], "source-terminal"),
+        ([[4, 5]], "terminal-terminal"),
+        ([[0, 2], [0, 1], [1, 2]], "sorted"),            # unsorted within i
+        ([[1, 2], [2, 1]], "range"),                     # i > j, and unsorted
+        ([[0, 1], [0, 4], [1, 2]], "source-terminal"),   # ends the source's run
+        ([[0, 1], [1, 4], [4, 5]], "terminal-terminal"),
+        ([[0, 5], [4, 5]], "source-terminal"),           # both: the first rule wins
+    ], ids=[f"rows{k}" for k in range(13)])
+    def test_constructor_rejects_non_canonical_rows(self, rows, rule):
+        message = {"sorted": r"^edges must be sorted and unique$",
+                   "range": r"^edges need 0 <= i < j < 6$",
+                   "source-terminal": r"^source-terminal edges are forbidden$",
+                   "terminal-terminal": r"^terminal-terminal edges are forbidden$"}[rule]
+        for dtype in (np.int64, np.int32):
+            with pytest.raises(ValueError, match=message):
+                ConnectivityGraph(3, 2, np.array(rows, dtype=dtype))
+
+    def test_constructor_sorts_int32_rows_without_overflow(self):
+        # i * n_total + j overflowed int32 here (45000 * 50002 > 2**31), and
+        # these sorted rows were refused as unsorted.
+        rows = np.array([[1, 2], [45000, 45001]], np.int32)
+        assert ConnectivityGraph(50000, 1, rows).edges.dtype == np.int32
+        with pytest.raises(ValueError, match="^edges must be sorted and unique$"):
+            ConnectivityGraph(50000, 1, rows[::-1].copy())
+
+    def test_built_and_loaded_graphs_store_edges_by_column(self):
+        g = build_connectivity_graph(200, 3, FIG3, RandomStream.from_seed(2))
+        loaded = from_edges(g.n_relays, g.n_terminals, g.edges.tolist())
+        np.testing.assert_array_equal(loaded.edges, g.edges)
+        for graph in (g, loaded):
+            e = graph.edges
+            assert e.shape == (len(g.edges), 2) and e.dtype == np.int64
+            assert e.flags.f_contiguous and not e.flags.c_contiguous
+            assert e[:, 0].flags.c_contiguous and e[:, 1].flags.c_contiguous
+        assert loaded.edges.strides == g.edges.strides == (8, 8 * len(g.edges))
 
     def test_constructor_rejects_bad_shapes(self):
         ConnectivityGraph(3, 2, np.array([[0, 1], [1, 4], [3, 5]]), np.zeros((6, 2)))

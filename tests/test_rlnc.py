@@ -270,6 +270,17 @@ class TestVerifyAchievability:
         given = build_coding_dag([cut.flow for cut in cuts], 2)
         assert dag_fields(given) == dag_fields(build_coding_dag(flows(g), 2))
 
+    def test_a_graph_with_no_terminals_is_refused_by_name(self):
+        # The constructor accepts a graph with no terminal; the check used to
+        # fail inside min() and build_coding_dag inside flows[0].
+        g = from_edges(2, 0, [(0, 1), (1, 2)])
+        for cuts in (None, []):
+            with pytest.raises(ValueError, match="^need at least one terminal$"):
+                verify_achievability(g, 8, RandomStream.from_seed(1), cuts=cuts)
+        for rate in (0, 1):
+            with pytest.raises(ValueError, match="^need at least one terminal$"):
+                build_coding_dag([], rate)
+
     def test_binary_field_fails_visibly_more_often(self):
         g = butterfly_graph()
         big = verify_achievability(g, 1000, RandomStream.from_seed(9))

@@ -12,7 +12,11 @@ degree about 24, so `min_cut` takes the CSR engine), measured on the sources
 under `--src`. The "200 x4 rlnc" row is the multicast trial: the fig3 radii
 at n = 200 with 4 terminals, `min_cut` for all of them, then the
 random-coding check on those cuts (`verify_achievability`, 64 coding
-trials) as its `rlnc` stage. With `--parent-src`, each stage row is timed
+trials) as its `rlnc` stage. Beside the build and `min_cut` times, each
+row keeps the median count of minor page faults per graph around each of
+the two (`ru_minflt` of this process, read before and after): memory the
+allocator handed back to the system between graphs and takes again. With
+`--parent-src`, each stage row is timed
 on both source trees in alternating subprocesses, STAGE_ROUNDS rounds each,
 and the row keeps both medians, the median over rounds of the round's
 `--src`/parent ratio and the rounds in which `--src` was faster, so a stage
@@ -28,6 +32,7 @@ import argparse
 import json
 import math
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -65,23 +70,30 @@ def stage_times(src: str, n: int, terminals: int, count: int, fields: dict,
                 coding_trials: int) -> dict:
     """Per-graph seconds of each stage of one stage row, on the qrggsim
     under `src`: the build, `min_cut` for every terminal and, with coding
-    trials, the coding check on those cuts (`rlnc`); and the mean degree of
-    the graphs timed."""
+    trials, the coding check on those cuts (`rlnc`); the minor page faults
+    of the build and of `min_cut` per graph (`build_minflt`,
+    `min_cut_minflt`); and the mean degree of the graphs timed."""
     sys.path.insert(0, src)
     from qrggsim import (ConnectionModel, RandomStream, build_connectivity_graph, min_cut,
                          verify_achievability)
 
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
     model = ConnectionModel.from_json(fields)
-    times, degree = {"build": [], "min_cut": []}, []
+    times = {"build": [], "min_cut": [], "build_minflt": [], "min_cut_minflt": []}
+    degree = []
     for seed in range(STAGE_SEED, STAGE_SEED + count):
         stream = RandomStream.from_seed(seed)
-        t0 = time.perf_counter()
+        f0, t0 = faults(), time.perf_counter()
         g = build_connectivity_graph(n, terminals, model, stream)
-        t1 = time.perf_counter()
+        t1, f1 = time.perf_counter(), faults()
         cuts = [min_cut(g, t) for t in g.terminal_ids]
-        t2 = time.perf_counter()
+        t2, f2 = time.perf_counter(), faults()
         times["build"].append(t1 - t0)
         times["min_cut"].append(t2 - t1)
+        times["build_minflt"].append(f1 - f0)
+        times["min_cut_minflt"].append(f2 - f1)
         if coding_trials:
             verify_achievability(g, coding_trials, stream.child("rlnc"), cuts=cuts)
             times.setdefault("rlnc", []).append(time.perf_counter() - t2)
@@ -120,6 +132,9 @@ def stage_medians(src: Path, parent_src: Path | None = None) -> dict:
                 # Pooled over rounds: every graph timed in every round.
                 out[row][f"{side}{stage}_ms"] = statistics.median(
                     t for run in timed for t in run[stage]) * 1e3
+                if stage != "rlnc":
+                    out[row][f"{side}{stage}_minflt"] = statistics.median(
+                        f for run in timed for f in run[f"{stage}_minflt"])
             if parent_src is not None:
                 # Each round's two runs are adjacent in time, so their ratio
                 # leaves out most of the host's drift.
