@@ -92,11 +92,6 @@ def _resolve_seed(args) -> int:
     raise ValueError("--seed is required (or set QRGG_SEED)")
 
 
-def _check_jobs(args):
-    if args.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
-
-
 def _print_resolved(name: str, resolved: dict):
     print(f"[qrggsim] {name}: {json.dumps(resolved, sort_keys=True)}", file=sys.stderr)
 
@@ -268,7 +263,6 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _cmd_experiment(args) -> int:
-    _check_jobs(args)
     config = _experiment_config(args)
     resolved = config.to_json()
     resolved["jobs"] = effective_jobs(args.jobs, config.trials)
@@ -290,7 +284,6 @@ def _cmd_sweep(args) -> int:
     r_list = _parse_list(args.r_list, "r")
     r_prime_list = _parse_list(args.r_prime_list, "r'") if args.r_prime_list else None
     seed = _resolve_seed(args)
-    _check_jobs(args)
     _print_resolved("sweep", {
         "n_list": n_list, "r_list": r_list, "r_prime_factor": args.r_prime_factor,
         "r_prime_list": r_prime_list, "p_connection": args.p_connection,

@@ -121,7 +121,9 @@ def _histogram(values: list[int], bins: int | None):
 
 
 def effective_jobs(jobs: int, trials: int) -> int:
-    """Worker processes actually used: no more than the trials or the CPUs."""
+    """Worker processes actually used: `jobs`, an int >= 1, capped at the
+    trials and the CPUs."""
+    _require_int("jobs", jobs, 1)
     return min(jobs, trials, os.cpu_count() or 1)
 
 

@@ -16,7 +16,7 @@ import math
 import os
 import stat
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -308,7 +308,9 @@ def _beyond(s: np.ndarray, radius: float, x, y, a, b) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Flow:
     """An integral max flow from the source to one terminal, as _max_flow
-    leaves it.
+    leaves it, and so the terminal's min cut: its capacity is the flow's
+    value, and the nodes the final residual network reaches are the cut's
+    source side.
 
     level[v] >= 0 iff v is reachable from the source in the final residual
     network. `hops` holds the nodes each augmenting path visits after the
@@ -317,10 +319,18 @@ class Flow:
     """
 
     terminal: int
-    value: int
+    capacity: int
     level: np.ndarray
     hops: np.ndarray
     ends: tuple[int, ...]
+
+    @property
+    def partition_vk(self) -> tuple[int, ...]:
+        """The cut's certificate: the nodes but the source (node 0, level 0)
+        that the final residual network reaches, sorted; every min cut's
+        source side holds them. They are relays only: the flow's own
+        terminal would leave an augmenting path, and no flow enters another."""
+        return tuple(np.flatnonzero(self.level >= 0)[1:].tolist())
 
     def arcs(self, limit: int) -> np.ndarray:
         """The arcs u -> v that carry a unit after the first `limit`
@@ -328,8 +338,8 @@ class Flow:
         Each path's tails are the source, then its hops shifted by one; u -> v
         carries a unit when the paths hop u -> v more often than v -> u, since
         opposite hops cancel as the flow's units do. `limit` is clamped to
-        0..value, as in paths."""
-        limit = max(0, min(limit, self.value))
+        0..capacity, as in paths."""
+        limit = max(0, min(limit, self.capacity))
         n, bounds = len(self.level), (0, *self.ends)
         heads = self.hops[:bounds[limit]].astype(np.int64)
         tails = heads[np.arange(len(heads)) - 1]
@@ -340,8 +350,8 @@ class Flow:
         return hops[net > 0]
 
     def paths(self, limit: int | None = None) -> list[list[int]]:
-        """The flow of the first `limit` augmenting paths (all when None),
-        decomposed into edge-disjoint s->t node paths.
+        """The flow of the first `limit` augmenting paths (all when None,
+        none when negative), decomposed into edge-disjoint s->t node paths.
 
         A Dinic run stopped at `limit` units is a prefix of the full run: the
         same level graphs and the same DFS order up to its last augmentation.
@@ -349,7 +359,9 @@ class Flow:
         unit on u -> v otherwise, so replaying the prefix's hops leaves the
         flow that run leaves: antiparallel relay flows cancel.
         """
-        count = self.value if limit is None else max(0, min(limit, self.value))
+        limit = self.capacity if limit is None else limit
+        _require_int("limit", limit)
+        count = max(0, min(limit, self.capacity))
         hops = self.hops[:self.ends[count - 1] if count else 0].tolist()
         used = set()  # the edges u -> v that carry a unit
         for a, b in zip((0, *self.ends), self.ends[:count]):
@@ -373,15 +385,6 @@ class Flow:
                 path.append(u)
             paths.append(path)
         return paths
-
-
-@dataclass(frozen=True)
-class CutResult:
-    terminal: int
-    partition_vk: tuple[int, ...]  # source-side relays, sorted
-    capacity: int
-    # The max flow that certifies the cut; None for a cut found by search.
-    flow: Flow | None = field(default=None, compare=False, repr=False)
 
 
 def _check_terminal(graph: ConnectivityGraph, terminal: int):
@@ -677,14 +680,13 @@ def _bit_ids(bits: int, width: int) -> list[int]:
     return np.unpackbits(b, bitorder="little").nonzero()[0].tolist()
 
 
-def min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:
-    """Exact s-t min cut via integer max flow; certificate is the
-    source-side-minimal relay partition (residual reachability). The flow
-    comes along, so its paths need no second run."""
+def min_cut(graph: ConnectivityGraph, terminal: int) -> Flow:
+    """Exact s-t min cut: the terminal's integer max flow (_max_flow), whose
+    capacity is the cut's and whose partition_vk is its certificate, the
+    source-side-minimal relay partition. The paths come along (Flow.paths),
+    so they need no second run."""
     _check_terminal(graph, terminal)
-    flow = _max_flow(graph, terminal)
-    partition = tuple((np.flatnonzero(flow.level[1:1 + graph.n_relays] >= 0) + 1).tolist())
-    return CutResult(terminal=terminal, partition_vk=partition, capacity=flow.value, flow=flow)
+    return _max_flow(graph, terminal)
 
 
 def edge_disjoint_paths(
@@ -693,8 +695,7 @@ def edge_disjoint_paths(
     """The max flow's first `limit` augmenting paths (all when None),
     replayed and decomposed into edge-disjoint s->t node paths
     (Flow.paths)."""
-    _check_terminal(graph, terminal)
-    return _max_flow(graph, terminal).paths(limit)
+    return min_cut(graph, terminal).paths(limit)
 
 
 def multicast_capacity(graph: ConnectivityGraph) -> int:

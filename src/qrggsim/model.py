@@ -36,6 +36,12 @@ class ConnectionModel:
     p: float = 1.0
 
     def __post_init__(self):
+        # A bool would pass the range checks as 0 or 1 and write `true` into
+        # the provenance; a non-number would fail them with TypeError.
+        for key in ("r", "r_prime", "p"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"model {key} must be a number, not {value!r}")
         if self.kernel not in (KERNEL_FIXED, KERNEL_LINEAR_DECAY):
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if not (0.0 <= self.r <= 1.0 and 0.0 <= self.r_prime <= 1.0):
@@ -52,13 +58,6 @@ class ConnectionModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConnectionModel":
-        """Model from its JSON object; a field of the wrong type raises
-        ValueError naming the field (a bool is not a number here)."""
-        for key in ("r", "r_prime", "p"):
-            if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float)):
-                raise ValueError(f"model {key} must be a number, not {obj[key]!r}")
-        if not isinstance(obj["kernel"], str):
-            raise ValueError(f"model kernel must be a string, not {obj['kernel']!r}")
         return cls(r=obj["r"], r_prime=obj["r_prime"], kernel=obj["kernel"], p=obj["p"])
 
 

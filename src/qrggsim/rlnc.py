@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import _sig6
 from .gf256 import GF256, _full_rank
 from . import graph as _graph
-from .graph import ConnectivityGraph, CutResult, _require_int
+from .graph import ConnectivityGraph, Flow, _require_int
 # Unused here but bound in this module, where the benchmark's tracer wraps them.
 from .gf256 import matrix_rank, solve_linear_system  # noqa: F401
 from .graph import edge_disjoint_paths, multicast_capacity  # noqa: F401
@@ -83,7 +83,7 @@ def build_coding_dag(flows, rate: int):
     _require_int("rate", rate, 0)
     if not flows:
         raise ValueError("need at least one terminal")
-    if any(flow.value < rate for flow in flows):
+    if any(flow.capacity < rate for flow in flows):
         raise ValueError("rate exceeds the multicast capacity")
     n = len(flows[0].level)
     # Sorted, less repeats: np.unique with no return flag imports numpy.ma.
@@ -245,7 +245,7 @@ def verify_achievability(
 ) -> AchievabilityReport:
     """Random-coding check that the min-cut rate is decodable at every
     terminal. h is fixed to the multicast capacity, the least of the
-    terminals' min cuts: `cuts`, min_cut's result per terminal in terminal
+    terminals' min cuts: `cuts`, min_cut's Flow per terminal in terminal
     order when the caller already has them, or else computed.
 
     The coding DAG is build_coding_dag's: the arcs of positive net hop count
@@ -262,15 +262,14 @@ def verify_achievability(
         cuts = [_graph.min_cut(graph, t) for t in graph.terminal_ids]
     else:
         cuts = list(cuts)
-        if not all(isinstance(c, CutResult) and c.flow is not None for c in cuts) or [
-            c.terminal for c in cuts
-        ] != graph.terminal_ids:
-            raise ValueError("cuts must hold min_cut's result for each terminal, "
+        if (not all(isinstance(c, Flow) for c in cuts)
+                or [c.terminal for c in cuts] != graph.terminal_ids):
+            raise ValueError("cuts must hold min_cut's flow for each terminal, "
                              "in terminal order")
     h = min(cut.capacity for cut in cuts)
     # A cyclic union decodes no trial; at rate 0 the DAG is empty, and every
     # trial decodes.
-    dag = build_coding_dag([cut.flow for cut in cuts], h)
+    dag = build_coding_dag(cuts, h)
     successes = 0
     if isinstance(dag, CodingDag):
         for first in range(0, trials, CODING_BLOCK):

@@ -9,17 +9,24 @@ and `p_prime_bounds`' interval.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 from qrggsim import ConnectionModel, ConnectivityGraph, RandomStream, cut_capacity, from_edges
-from qrggsim.graph import CutResult, _check_terminal
+from qrggsim.graph import _check_terminal
 from qrggsim.model import kernel_probability
 
 BRUTE_FORCE_MAX_RELAYS = 20
 
 
-def brute_force_min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:
+class BruteForceCut(NamedTuple):
+    terminal: int
+    partition_vk: tuple[int, ...]  # source-side relays, sorted
+    capacity: int
+
+
+def brute_force_min_cut(graph: ConnectivityGraph, terminal: int) -> BruteForceCut:
     """Independent oracle: exhaustive minimum over all relay partitions,
     each counted by cut_capacity.
 
@@ -33,7 +40,7 @@ def brute_force_min_cut(graph: ConnectivityGraph, terminal: int) -> CutResult:
         for k in range(graph.n_relays + 1)
         for vk in itertools.combinations(graph.relay_ids, k)
     )
-    return CutResult(terminal=terminal, partition_vk=vk, capacity=capacity)
+    return BruteForceCut(terminal, vk, capacity)
 
 
 def estimate_connection_probability(

@@ -250,7 +250,7 @@ class TestExperiment:
             code, stdout, err = run_cli(capsys, *argv, "--trials", "2", "--seed", "1",
                                         "--jobs", jobs)
             assert code == 1
-            assert "--jobs" in err and stdout == ""
+            assert err == f"error: jobs must be an integer >= 1, not {jobs}\n" and stdout == ""
 
     def test_resolved_config_shows_effective_jobs(self, capsys, monkeypatch, pool_sizes):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)

@@ -145,7 +145,6 @@ class TestRunExperiment:
         (1000, 10, 4, 4),     # capped by CPUs
         (3, 10, 8, 3),        # as asked
         (1000, 10, None, None),  # unknown CPU count: one, so no pool
-        (0, 10, 8, None),     # below one: serial
     ])
     def test_worker_count_is_capped(self, monkeypatch, pool_sizes, jobs, trials, cpus, workers):
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
@@ -153,6 +152,17 @@ class TestRunExperiment:
         result = run_experiment(config, jobs=jobs)
         assert pool_sizes == ([] if workers is None else [workers])
         assert result.to_json() == run_experiment(config, jobs=1).to_json()
+
+    @pytest.mark.parametrize("jobs, shown", [
+        (0, "0"), (-2, "-2"), (True, "True"), (1.5, "1.5"), (2.0, "2.0"), ("2", "'2'")])
+    def test_jobs_must_be_an_int_of_at_least_one(self, monkeypatch, pool_sizes, jobs, shown):
+        # 0, -2 and True ran serially without a word, and 1.5 failed inside
+        # concurrent.futures.
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
+        with pytest.raises(ValueError) as info:
+            run_experiment(small_config(n_relays=10, trials=4), jobs=jobs)
+        assert str(info.value) == f"jobs must be an integer >= 1, not {shown}"
+        assert pool_sizes == []
 
     def test_another_worker_count_replaces_the_pool(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)

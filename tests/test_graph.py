@@ -28,6 +28,7 @@ from qrggsim import (
 )
 from qrggsim import graph as graph_module
 from qrggsim.graph import (
+    Flow,
     _bitset_flow,
     _csr_flow,
     _key_dtype,
@@ -814,26 +815,26 @@ class TestFlowPin:
         for g in graphs:
             for t in g.terminal_ids:
                 flow = _max_flow(g, t)
-                records.append([int(flow.value), np.asarray(flow.level, int).tolist(),
+                records.append([int(flow.capacity), np.asarray(flow.level, int).tolist(),
                                 np.asarray(flow.hops, int).tolist(), list(flow.ends)])
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == SCALE_FLOW_PIN
 
 
 def assert_replay_takes_disjoint_paths(g, t, flow) -> int:
-    """At every limit from 0 to flow.value + 1, flow.paths(limit) is
-    min(limit, value) paths from the source through relays to t, over edges
+    """At every limit from 0 to flow.capacity + 1, flow.paths(limit) is
+    min(limit, capacity) paths from the source through relays to t, over edges
     of g, and no edge is used twice; returns the number of limits checked."""
     edges = set(g.edge_list())
-    for limit in range(flow.value + 2):
+    for limit in range(flow.capacity + 2):
         paths = flow.paths(limit)
-        assert len(paths) == min(limit, flow.value), limit
+        assert len(paths) == min(limit, flow.capacity), limit
         hops = [(min(u, v), max(u, v)) for path in paths for u, v in zip(path, path[1:])]
         assert set(hops) <= edges and len(set(hops)) == len(hops), limit
         for path in paths:
             assert path[0] == 0 and path[-1] == t
             assert all(1 <= v <= g.n_relays for v in path[1:-1])
-    return flow.value + 2
+    return flow.capacity + 2
 
 
 class TestFlowReplay:
@@ -850,15 +851,29 @@ class TestFlowReplay:
         for g in graphs:
             for t in g.terminal_ids:
                 cut = min_cut(g, t)
-                assert cut.flow.paths() == edge_disjoint_paths(g, t)
-                cases += assert_replay_takes_disjoint_paths(g, t, cut.flow)
+                assert cut.paths() == edge_disjoint_paths(g, t)
+                cases += assert_replay_takes_disjoint_paths(g, t, cut)
                 for limit in range(cut.capacity + 2):
-                    assert cut.flow.paths(limit) == edge_disjoint_paths(g, t, limit), (t, limit)
+                    assert cut.paths(limit) == edge_disjoint_paths(g, t, limit), (t, limit)
                 # A Dinic phase's augmenting paths all have the length of
                 # that phase, and the length grows from phase to phase.
-                phases.append(len(set(np.diff((0, *cut.flow.ends)))))
+                phases.append(len(set(np.diff((0, *cut.ends)))))
         assert cases > 3500
         assert max(phases) >= 5 and phases.count(1) < len(phases) / 4
+
+    def test_paths_refuse_a_limit_that_is_not_an_int(self):
+        # 1.5 and 2.0 failed inside the replay as tuple indices; True took
+        # one path. None still means every path, and a negative limit none.
+        g = build_connectivity_graph(200, 1, FIG3, RandomStream.from_seed(3))
+        t = g.terminal_ids[0]
+        flow = min_cut(g, t)
+        assert flow.capacity > 2
+        for bad in (1.5, 2.0, True, "1", np.int64(1)):
+            for paths in (flow.paths, lambda limit: edge_disjoint_paths(g, t, limit)):
+                with pytest.raises(ValueError) as info:
+                    paths(bad)
+                assert str(info.value) == f"limit must be an integer, not {bad!r}"
+        assert len(flow.paths(None)) == flow.capacity and flow.paths(-2) == []
 
     def test_replay_across_a_cancelled_arc(self):
         # Phase 1 routes s-1-2-t; phase 2 needs s-3-4-2-1-5-6-t, which turns
@@ -867,7 +882,7 @@ class TestFlowReplay:
         edges = [(0, 1), (1, 2), (2, 15), (0, 3), (3, 4), (2, 4), (1, 5), (5, 6), (6, 15),
                  (0, 8), *[(k, k + 1) for k in range(8, 14)], (14, 15)]
         g = from_edges(14, 1, edges)
-        flow = min_cut(g, 15).flow
+        flow = min_cut(g, 15)
         assert flow.ends == (3, 10, 18)
         # Edge 1-2 is crossed both ways.
         assert flow.hops.tolist() == [1, 2, 15, 3, 4, 2, 1, 5, 6, 15, *range(8, 16)]
@@ -879,7 +894,7 @@ class TestFlowReplay:
         # Flow.arcs nets the hops in numpy, Flow.paths replays them in
         # Python: at every limit, the arcs carrying a unit are the paths'
         # consecutive pairs, each once, and both clamp a limit outside
-        # 0..value. The graphs are FLOW_PIN's, and the cancelled-arc chain.
+        # 0..capacity. The graphs are FLOW_PIN's, and the cancelled-arc chain.
         graphs = [random_graph(seed, n_relays=30, n_terminals=2 + seed % 3)
                   for seed in range(30)]
         graphs += [build_connectivity_graph(200, 2 + seed % 3, FIG3, RandomStream.from_seed(seed))
@@ -890,8 +905,8 @@ class TestFlowReplay:
         limits = 0
         for g in graphs:
             for t in g.terminal_ids:
-                flow = min_cut(g, t).flow
-                for limit in range(-1, flow.value + 2):
+                flow = min_cut(g, t)
+                for limit in range(-1, flow.capacity + 2):
                     replay = sorted(u * g.n_nodes + v for path in flow.paths(limit)
                                     for u, v in zip(path, path[1:]))
                     arcs = flow.arcs(limit)
@@ -899,13 +914,12 @@ class TestFlowReplay:
                     limits += 1
         assert limits > 1000
 
-    def test_min_cut_carries_its_flow_outside_equality(self):
+    def test_min_cut_is_the_terminals_flow(self):
         g = butterfly_graph()
         cut = min_cut(g, 5)
-        assert cut.flow.terminal == 5 and cut.flow.value == cut.capacity == 2
-        assert cut == brute_force_min_cut(g, 5)
-        assert brute_force_min_cut(g, 5).flow is None
-        assert "flow" not in repr(cut)
+        assert isinstance(cut, Flow) and cut.capacity == 2
+        assert (cut.terminal, cut.partition_vk, cut.capacity) == brute_force_min_cut(g, 5)
+        assert cut.paths() == edge_disjoint_paths(g, 5)
 
 
 def _scipy_max_flow(graph, terminal) -> int:
@@ -946,7 +960,7 @@ class TestScipyOracle:
 
 def assert_same_flow(a, b):
     """Field-for-field equality of two Flows, dtypes included."""
-    assert (a.terminal, a.value, a.ends) == (b.terminal, b.value, b.ends)
+    assert (a.terminal, a.capacity, a.ends) == (b.terminal, b.capacity, b.ends)
     for name in ("level", "hops"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
@@ -985,6 +999,32 @@ class TestFlowEngines:
         g = from_edges(hops - 1, 1, [(k, k + 1) for k in range(hops)])
         assert_engines_agree([g])
 
+    def test_partition_is_the_reached_relays_and_holds_no_terminal(self):
+        # partition_vk reads every node but the source that the final
+        # residual network reaches. That is the relays' source side only if
+        # no terminal is reached: not the flow's own, which would leave an
+        # augmenting path, nor another, which no flow enters. Both engines, on
+        # dense and sparse graphs, flows that stop below and at the bound
+        # min(deg s, deg t).
+        graphs = [random_graph(seed, n_relays=4 + seed % 27, n_terminals=1 + seed % 4)
+                  for seed in range(60)]
+        graphs += [build_connectivity_graph(200, 1 + seed % 4, FIG3, RandomStream.from_seed(seed))
+                   for seed in range(8)]
+        graphs += [build_connectivity_graph(2000, 1 + seed % 4, sparse_model(0.04),
+                                            RandomStream.from_seed(seed)) for seed in range(4)]
+        at_bound = below = 0
+        for g in graphs:
+            relays = np.array(g.relay_ids, int)
+            for t in g.terminal_ids:
+                bound = min(g.source_degree(), int(np.count_nonzero(g.edges[:, 1] == t)))
+                for flow in (_csr_flow(g, t), _bitset_flow(g, t)):
+                    assert list(flow.partition_vk) == relays[flow.level[relays] >= 0].tolist()
+                    assert not set(flow.partition_vk) & set(g.terminal_ids)
+                    assert cut_capacity(g, t, flow.partition_vk) == flow.capacity
+                at_bound += flow.capacity == bound
+                below += flow.capacity < bound
+        assert at_bound > 100 and below > 25, (at_bound, below)
+
     def test_switch_picks_rows_only_for_dense_networks(self, monkeypatch):
         chosen = []
         for name in ("_csr_flow", "_bitset_flow"):
@@ -1016,10 +1056,10 @@ class TestFlowEngines:
         graphs += [random_graph(seed, n_relays=30, n_terminals=2 + seed % 3)
                    for seed in range(9)]
         for g in graphs:
-            fresh = {t: min_cut(from_edges(g.n_relays, g.n_terminals, g.edges), t).flow
+            fresh = {t: min_cut(from_edges(g.n_relays, g.n_terminals, g.edges), t)
                      for t in g.terminal_ids}
-            forward = {t: min_cut(g, t).flow for t in g.terminal_ids}
-            backward = {t: min_cut(g, t).flow for t in reversed(g.terminal_ids)}
+            forward = {t: min_cut(g, t) for t in g.terminal_ids}
+            backward = {t: min_cut(g, t) for t in reversed(g.terminal_ids)}
             for t in g.terminal_ids:
                 assert_same_flow(forward[t], fresh[t])
                 assert_same_flow(backward[t], fresh[t])
@@ -1030,15 +1070,14 @@ class TestFlowEngines:
             assert g._rows == _oracle_rows(g)
         # A lone terminal's flow packs its own rows and keeps none on the graph.
         lone = build_connectivity_graph(2000, 1, FIG3, RandomStream.from_seed(1))
-        assert_same_flow(min_cut(lone, lone.terminal_ids[0]).flow,
+        assert_same_flow(min_cut(lone, lone.terminal_ids[0]),
                          _csr_flow(lone, lone.terminal_ids[0]))
         assert "_rows" not in vars(lone)
 
     def test_sparse_flow_memory_does_not_grow_with_idle_nodes(self):
         # Three edges among a million relays: the phases run on the four
         # nodes the arcs touch, so what is left per relay is the Flow's int32
-        # level and min_cut's mask over it, 5 bytes. Phases over every node
-        # would take 36.
+        # level, 4 bytes. Phases over every node would take 36.
         n = 10**6
         g = from_edges(n, 1, [(0, 1), (1, 2), (2, n + 1)])
         tracemalloc.start()
@@ -1047,8 +1086,8 @@ class TestFlowEngines:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cut.capacity == 1 and cut.flow.paths() == [[0, 1, 2, n + 1]]
-        assert cut.flow.level.shape == (n + 2,)
+        assert cut.capacity == 1 and cut.paths() == [[0, 1, 2, n + 1]]
+        assert cut.level.shape == (n + 2,)
         assert peak < 8 * n, peak / n
 
     def test_cancellation_from_the_upper_endpoint(self):
@@ -1060,7 +1099,7 @@ class TestFlowEngines:
         edges = [(0, 2), (1, 2), (1, 15), (0, 3), (3, 4), (1, 4), (2, 5), (5, 6), (6, 15),
                  (0, 8), *[(k, k + 1) for k in range(8, 14)], (14, 15)]
         g = from_edges(14, 1, edges)
-        for flow in (_csr_flow(g, 15), _bitset_flow(g, 15), min_cut(g, 15).flow):
+        for flow in (_csr_flow(g, 15), _bitset_flow(g, 15), min_cut(g, 15)):
             assert flow.ends == (3, 10, 18)
             assert flow.hops.tolist() == [2, 1, 15, 3, 4, 1, 2, 5, 6, 15, *range(8, 16)]
             assert flow.paths(2) == [[0, 2, 5, 6, 15], [0, 3, 4, 1, 15]]
@@ -1175,7 +1214,7 @@ def test_engines_agree_with_the_exhaustive_oracle(case):
     # finds them: a check against the graph, not against the other engine.
     edges = set(g.edge_list())
     lengths = np.diff((0, *flow.ends)).tolist()
-    assert len(lengths) == flow.value and sum(lengths) == len(flow.hops)
+    assert len(lengths) == flow.capacity and sum(lengths) == len(flow.hops)
     assert lengths == sorted(lengths)
     for a, b in zip((0, *flow.ends), flow.ends):
         path = [0, *flow.hops[a:b].tolist()]

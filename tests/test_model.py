@@ -35,6 +35,20 @@ class TestConnectionModel:
         with pytest.raises(ValueError):
             ConnectionModel(r=0.1, r_prime=0.1, kernel="linear_decay", p=0.5)
 
+    @pytest.mark.parametrize("key, value, shown", [
+        ("r", True, "True"), ("r_prime", True, "True"), ("p", False, "False"),
+        ("r", "0.1", "'0.1'"), ("r_prime", None, "None"), ("p", [0.5], "[0.5]")])
+    def test_numbers_must_be_numbers_and_not_bools(self, key, value, shown):
+        # A bool passed the range checks as 0 or 1 and wrote `true` into the
+        # provenance; a string failed them with TypeError. The constructor
+        # and from_json refuse both alike.
+        fields = {"r": 0.1, "r_prime": 0.2, "kernel": "fixed", "p": 0.5, key: value}
+        for make in (lambda: ConnectionModel(**fields), lambda: ConnectionModel.from_json(fields)):
+            with pytest.raises(ValueError) as info:
+                make()
+            assert str(info.value) == f"model {key} must be a number, not {shown}"
+        ConnectionModel(r=0, r_prime=1, p=1)  # ints are numbers
+
     def test_json_round_trip(self):
         m = ConnectionModel(r=0.1, r_prime=0.2, kernel="linear_decay", p=0.9)
         assert ConnectionModel.from_json(m.to_json()) == m

@@ -39,7 +39,7 @@ def assert_cycle_in_graph(skip, graph, min_nodes):
 
 def flows(graph):
     """Each terminal's min-cut flow, in terminal order."""
-    return [min_cut(graph, t).flow for t in graph.terminal_ids]
+    return [min_cut(graph, t) for t in graph.terminal_ids]
 
 
 def dag_fields(dag):
@@ -53,7 +53,7 @@ def dag_fields(dag):
 def replay_arcs(cuts, h):
     """The coding DAG's arcs by the path replay: the consecutive pairs of
     each terminal's first h replayed flow paths, sorted."""
-    return sorted({(u, v) for cut in cuts for path in cut.flow.paths(h)
+    return sorted({(u, v) for cut in cuts for path in cut.paths(h)
                    for u, v in zip(path, path[1:])})
 
 
@@ -163,7 +163,7 @@ class TestBuildCodingDag:
         g = from_edges(14, 1, edges)
         cuts = [min_cut(g, 15)]
         for rate in range(4):
-            dag = build_coding_dag([cuts[0].flow], rate)
+            dag = build_coding_dag(cuts, rate)
             arcs = [tuple(arc) for arc in dag.arcs.tolist()]
             assert arcs == replay_arcs(cuts, rate)
             assert ((first_hop, other) in arcs) == (rate == 1) and (other, first_hop) not in arcs
@@ -184,7 +184,7 @@ class TestCodingDagMatchesReferences:
             g = build_connectivity_graph(n, tau, model, RandomStream.from_seed(seed))
             cuts = [min_cut(g, t) for t in g.terminal_ids]
             h = min(cut.capacity for cut in cuts)
-            dag = build_coding_dag([cut.flow for cut in cuts], h)
+            dag = build_coding_dag(cuts, h)
             arcs = replay_arcs(cuts, h)
             try:
                 order = reference_order(arcs)
@@ -263,11 +263,11 @@ class TestVerifyAchievability:
         g = butterfly_graph()
         cuts = [min_cut(g, t) for t in g.terminal_ids]
         oracle = [brute_force_min_cut(g, t) for t in g.terminal_ids]
-        assert oracle == cuts  # equal but for the flow, which == ignores
+        assert oracle == [(cut.terminal, cut.partition_vk, cut.capacity) for cut in cuts]
         for bad in (cuts[:1], cuts[::-1], oracle, [cut.capacity for cut in cuts], []):
             with pytest.raises(ValueError):
                 verify_achievability(g, 8, RandomStream.from_seed(1), cuts=bad)
-        given = build_coding_dag([cut.flow for cut in cuts], 2)
+        given = build_coding_dag(cuts, 2)
         assert dag_fields(given) == dag_fields(build_coding_dag(flows(g), 2))
 
     def test_a_graph_with_no_terminals_is_refused_by_name(self):
@@ -338,7 +338,7 @@ class TestDecodeProbability:
             cuts = [min_cut(g, t) for t in g.terminal_ids]
             if cuts[0].capacity == 0:
                 continue
-            dag = build_coding_dag([cut.flow for cut in cuts], cuts[0].capacity)
+            dag = build_coding_dag(cuts, cuts[0].capacity)
             if isinstance(dag, CyclicSkip):
                 continue
             p = predicted_decode_probability(g, dag, g.terminal_ids[0], GF256.order)
