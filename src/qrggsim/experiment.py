@@ -102,9 +102,7 @@ def run_trial(config: ExperimentConfig, trial_index: int):
     cuts = [min_cut(graph, t) for t in graph.terminal_ids]
     report = None
     if config.rlnc_check:
-        report = verify_achievability(
-            graph, config.rlnc_trials, stream.child("rlnc"), cuts=cuts
-        )
+        report = verify_achievability(graph, config.rlnc_trials, stream.child("rlnc"))
     return [cut.capacity for cut in cuts], graph.source_degree(), report
 
 

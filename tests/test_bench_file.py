@@ -8,11 +8,22 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_file.py"
 
 
-@pytest.fixture
-def bench_file():
+def load_tool():
     spec = importlib.util.spec_from_file_location("bench_file", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+TIER1 = {"seconds": 41.5, "passed": 452, "failed": 1}
+
+
+@pytest.fixture
+def bench_file():
+    """The tool with its tier-1 run stubbed, so that no test starts pytest
+    inside pytest."""
+    module = load_tool()
+    module.tier1 = lambda: TIER1
     return module
 
 
@@ -42,6 +53,7 @@ def test_main_writes_runs_summary_and_stage_rows(bench_file, tmp_path, monkeypat
     assert bench_file.main([*records, "--label", "t", "--out", str(out), "--note", "x"]) == 0
     doc = json.loads(out.read_text())
     assert (doc["label"], doc["note"], len(doc["runs"])) == ("t", "x", 3)
+    assert doc["tier1"] == TIER1
     assert doc["runs"][0]["metrics"] == {"trials_per_ref_s": 10.0, "setup_s": 0.3,
                                          "peak_rss_mb": 60.0}
     assert doc["runs"][0]["trials_per_s"] == 20.0
@@ -137,6 +149,29 @@ def test_stage_times_counts_minor_faults_around_each_stage(bench_file, monkeypat
     times = bench_file.stage_times(src, 30, 1, 2, bench_file.FIG3, 0)
     assert times["build_minflt"] == [5, 2] and times["min_cut_minflt"] == [2, 7]
     assert len(times["build"]) == len(times["min_cut"]) == 2
+
+
+@pytest.mark.parametrize("summary, passed, failed", [
+    ("1 failed, 452 passed in 39.45s", 452, 1),
+    ("452 passed, 2 warnings in 40.02s (0:00:40)", 452, 0),
+    ("1 failed, 451 passed, 1 error in 39.00s", 451, 1),
+    ("", 0, 0),
+])
+def test_tier1_times_one_pytest_run_in_the_checkout(summary, passed, failed):
+    module = load_tool()
+    runs = []
+
+    def fake_run(command, **kwargs):
+        runs.append((command, kwargs["cwd"]))
+        return types.SimpleNamespace(returncode=int(failed > 0),
+                                     stdout=f"....F..\n[criterion 1] FAIL\n{summary}\n")
+
+    module.subprocess = types.SimpleNamespace(run=fake_run)
+    result = module.tier1()
+    assert runs == [([module.sys.executable, "-m", "pytest", "-q",
+                      "--continue-on-collection-errors"], module.ROOT)]
+    assert (result["passed"], result["failed"]) == (passed, failed)
+    assert result["seconds"] >= 0
 
 
 @pytest.mark.parametrize("faster,rounds,p", [

@@ -97,6 +97,11 @@ class TestExitCodes:
             {"n_relays": 1, "terminals": [2], "edges": [[0, 1], [1, 2]], "seed": True},
             # This exited 2: "Python int too large to convert to C long".
             {"n_relays": 10**30, "terminals": [10**30 + 1], "edges": [[0, 1]]},
+            # These exited 0, and a graph saved from them held NaN or
+            # Infinity, which strict JSON parsers refuse; the last exited 2.
+            *({"n_relays": 1, "terminals": [2], "edges": [[0, 1], [1, 2]],
+               "positions": [[0.1, 0.2], [0.3, x], [0.5, 0.6]]}
+              for x in (float("nan"), float("inf"), -float("inf"), 10**400)),
         ]:
             bad.write_text(json.dumps(doc))
             code, _, err = run_cli(capsys, "capacity", "--graph", str(bad))

@@ -71,16 +71,15 @@ class TestRunTrial:
             assert capacities[i] == min(cuts)
 
     def test_one_max_flow_per_terminal_with_the_coding_check(self, monkeypatch):
-        # The coding check takes its paths from the min-cut flows run_trial
-        # already has, so a trial runs one max flow per terminal.
+        # The graph keeps the flows of run_trial's min cuts, and the coding
+        # check reads those, so a trial runs one max flow per terminal.
         calls = []
-        max_flow = graph_module._max_flow
+        for name in ("_bitset_flow", "_csr_flow"):
+            def counted(graph, terminal, *rows, engine=getattr(graph_module, name)):
+                calls.append(terminal)
+                return engine(graph, terminal, *rows)
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return max_flow(*args, **kwargs)
-
-        monkeypatch.setattr(graph_module, "_max_flow", counted)
+            monkeypatch.setattr(graph_module, name, counted)
         config = small_config(n_relays=200, n_terminals=4, trials=1, rlnc_check=True)
         cuts, _, report = run_trial(config, 0)
         assert min(cuts) > 0 and not report.cyclic_skipped  # the check built its DAG

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -33,7 +34,6 @@ from qrggsim.graph import (
     _csr_flow,
     _key_dtype,
     _key_shift,
-    _max_flow,
     _near_pairs,
     _residual_rows,
     write_text_atomic,
@@ -46,6 +46,7 @@ FIG3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
 FLOW_PIN = "8d16df39d7082cd8b5782647f5ce4251a1a6ff6f2fd444cd36f8db8ff4e2915e"
 SCALE_FLOW_PIN = "aef235f8a835c7674bd650e23d86f364d91470c8d0890de33c4dade9e6652c5d"
 ORACLE_PIN = "b818323739b493d439c50c78fcf16dabcc94f933b513e9acca4c9de61b3878f6"
+GRAPH_FIELDS = {field.name for field in dataclasses.fields(ConnectivityGraph)}
 
 
 def random_graph(seed, n_relays=None, n_terminals=None):
@@ -643,6 +644,7 @@ class TestJson:
             ("terminals", [7, 6]),
             ("positions", [[0.1]] * 8),      # not (n_nodes, 2)
             ("positions", [[0.1, 0.2]] * 7),
+            ("positions", [[10**400, 0.2]] + [[0.1, 0.2]] * 7),  # no float holds it
             ("edges", [[0, 6]]),             # source-terminal
             ("n_relays", 5.9),               # int() would make these 5
             ("n_relays", 5.0),
@@ -650,6 +652,12 @@ class TestJson:
         ]:
             with pytest.raises(ValueError):
                 graph_from_json({**obj, key: value})
+        # These loaded, and save_graph wrote NaN or Infinity, which JSON has not.
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="^positions must be finite$"):
+                graph_from_json({**obj, "positions": [[0.1, 0.2]] * 7 + [[0.3, value]]})
+            with pytest.raises(ValueError, match="^positions must be finite$"):
+                ConnectivityGraph(5, 2, np.empty((0, 2), np.int64), np.full((8, 2), value))
         one_relay = {"n_relays": 1, "terminals": [2], "edges": [[0, 1]]}
         graph_from_json(one_relay)
         for key, value in [
@@ -814,7 +822,7 @@ class TestFlowPin:
         records = []
         for g in graphs:
             for t in g.terminal_ids:
-                flow = _max_flow(g, t)
+                flow = min_cut(g, t)
                 records.append([int(flow.capacity), np.asarray(flow.level, int).tolist(),
                                 np.asarray(flow.hops, int).tolist(), list(flow.ends)])
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
@@ -874,6 +882,18 @@ class TestFlowReplay:
                     paths(bad)
                 assert str(info.value) == f"limit must be an integer, not {bad!r}"
         assert len(flow.paths(None)) == flow.capacity and flow.paths(-2) == []
+
+    def test_arcs_refuse_a_limit_that_is_not_an_int(self):
+        # 1.5 and 2.0 failed as tuple indices, and True gave one path's arcs.
+        g = build_connectivity_graph(200, 1, FIG3, RandomStream.from_seed(3))
+        flow = min_cut(g, g.terminal_ids[0])
+        assert flow.capacity > 2
+        for bad in (1.5, 2.0, True, "1", None, np.int64(1)):
+            with pytest.raises(ValueError) as info:
+                flow.arcs(bad)
+            assert str(info.value) == f"limit must be an integer, not {bad!r}"
+        assert len(flow.arcs(1)) == len(flow.paths(1)[0]) - 1
+        assert flow.arcs(-2).size == 0
 
     def test_replay_across_a_cancelled_arc(self):
         # Phase 1 routes s-1-2-t; phase 2 needs s-3-4-2-1-5-6-t, which turns
@@ -969,7 +989,7 @@ def assert_same_flow(a, b):
 def assert_engines_agree(graphs):
     for g in graphs:
         for t in g.terminal_ids:
-            assert_same_flow(_csr_flow(g, t), _bitset_flow(g, t))
+            assert_same_flow(_csr_flow(g, t), _bitset_flow(g, t, _residual_rows(g)))
 
 
 def sparse_model(r_prime):
@@ -977,7 +997,7 @@ def sparse_model(r_prime):
 
 
 class TestFlowEngines:
-    # _max_flow runs dense networks on bitset rows and sparse ones on numpy
+    # _max_flows runs dense networks on bitset rows and sparse ones on numpy
     # arc arrays; every caller relies on the two giving the same Flow.
 
     def test_engines_agree_on_the_pinned_graphs(self):
@@ -1017,7 +1037,7 @@ class TestFlowEngines:
             relays = np.array(g.relay_ids, int)
             for t in g.terminal_ids:
                 bound = min(g.source_degree(), int(np.count_nonzero(g.edges[:, 1] == t)))
-                for flow in (_csr_flow(g, t), _bitset_flow(g, t)):
+                for flow in (_csr_flow(g, t), _bitset_flow(g, t, _residual_rows(g))):
                     assert list(flow.partition_vk) == relays[flow.level[relays] >= 0].tolist()
                     assert not set(flow.partition_vk) & set(g.terminal_ids)
                     assert cut_capacity(g, t, flow.partition_vk) == flow.capacity
@@ -1029,7 +1049,7 @@ class TestFlowEngines:
         chosen = []
         for name in ("_csr_flow", "_bitset_flow"):
             monkeypatch.setattr(graph_module, name,
-                                lambda g, t, name=name: chosen.append(name))
+                                lambda g, t, *rows, name=name: chosen.append(name))
         chain = from_edges(1199, 1, [(k, k + 1) for k in range(1200)])
         # A few edges among a huge number of relays: rows would be O(n^2) bits.
         scattered = graph_from_json({"n_relays": 10**6, "terminals": [10**6 + 1],
@@ -1043,36 +1063,69 @@ class TestFlowEngines:
             wheatstone_graph(),  # 4 nodes and 3 edges: one word per row
         ]
         for g in graphs:
-            _max_flow(g, g.terminal_ids[0])
+            min_cut(g, g.terminal_ids[0])
         assert chosen == ["_bitset_flow", "_bitset_flow", "_csr_flow", "_csr_flow",
                           "_csr_flow", "_bitset_flow"]
 
     def test_shared_rows_leak_nothing_between_terminals(self):
         # The bitset engine packs a graph's rows once and every terminal's
         # flow starts from them: no flow may see another's changes, so the
-        # order of the terminals and a fresh graph object change nothing.
+        # order of the terminals, a fresh graph object and rows packed for
+        # the one terminal alone change nothing. The graph runs every
+        # terminal's flow at its first min_cut, keeps them and no rows, and
+        # each call returns the one Flow.
         graphs = [build_connectivity_graph(200, 2 + seed % 3, FIG3, RandomStream.from_seed(seed))
                   for seed in range(9)]
         graphs += [random_graph(seed, n_relays=30, n_terminals=2 + seed % 3)
                    for seed in range(9)]
+        graphs.append(build_connectivity_graph(2000, 1, FIG3, RandomStream.from_seed(1)))
+        graphs.append(build_connectivity_graph(2000, 3, sparse_model(0.04),
+                                               RandomStream.from_seed(5)))
         for g in graphs:
+            assert "_flows" not in vars(g)
             fresh = {t: min_cut(from_edges(g.n_relays, g.n_terminals, g.edges), t)
                      for t in g.terminal_ids}
             forward = {t: min_cut(g, t) for t in g.terminal_ids}
             backward = {t: min_cut(g, t) for t in reversed(g.terminal_ids)}
             for t in g.terminal_ids:
+                assert forward[t].terminal == t and backward[t] is forward[t]
                 assert_same_flow(forward[t], fresh[t])
-                assert_same_flow(backward[t], fresh[t])
                 assert_same_flow(_csr_flow(g, t), fresh[t])
-            # A dense network's flows ran on the rows and left them packed.
-            dense = -(-g.n_nodes // 64) * g.n_nodes <= 2 * len(g.edges)
-            assert ("_rows" in vars(g)) == dense
-            assert g._rows == _oracle_rows(g)
-        # A lone terminal's flow packs its own rows and keeps none on the graph.
-        lone = build_connectivity_graph(2000, 1, FIG3, RandomStream.from_seed(1))
-        assert_same_flow(min_cut(lone, lone.terminal_ids[0]),
-                         _csr_flow(lone, lone.terminal_ids[0]))
-        assert "_rows" not in vars(lone)
+                assert_same_flow(_bitset_flow(g, t, _residual_rows(g)), fresh[t])
+            assert set(vars(g)) == GRAPH_FIELDS | {"_flows"}
+            assert vars(g)["_flows"] == tuple(forward[t] for t in g.terminal_ids)
+
+    def test_flow_arrays_are_read_only(self):
+        # Every min_cut of a graph returns one Flow, so a reader that wrote
+        # to it would change what the next reader sees.
+        dense = build_connectivity_graph(200, 2, FIG3, RandomStream.from_seed(1))
+        sparse = from_edges(10**4, 1, [(0, 1), (1, 2), (2, 10**4 + 1)])
+        for g in (dense, sparse):
+            t = g.terminal_ids[0]
+            for flow in (min_cut(g, t), _csr_flow(g, t), _bitset_flow(g, t, _residual_rows(g))):
+                for name in ("level", "hops"):
+                    array = getattr(flow, name)
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 7
+                    with pytest.raises(ValueError, match="read-only"):
+                        array += 1
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(flow, name, array.copy())
+
+    def test_a_dense_graph_keeps_its_flows_and_not_its_rows(self):
+        # Four terminals' rows would be N^2 bits, kept as long as the graph;
+        # its four flows keep a level of 4 bytes a node each and their hops.
+        g = build_connectivity_graph(2000, 4, FIG3, RandomStream.from_seed(5))
+        assert -(-g.n_nodes // 64) * g.n_nodes <= 2 * len(g.edges)  # the rows' engine
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            flows = [min_cut(g, t) for t in g.terminal_ids]
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert min(flow.capacity for flow in flows) > 0
+        assert kept < g.n_nodes ** 2 / 8, kept
 
     def test_sparse_flow_memory_does_not_grow_with_idle_nodes(self):
         # Three edges among a million relays: the phases run on the four
@@ -1090,6 +1143,22 @@ class TestFlowEngines:
         assert cut.level.shape == (n + 2,)
         assert peak < 8 * n, peak / n
 
+    def test_a_sparse_graph_keeps_a_level_per_node_and_terminal(self):
+        # Six edges among a million relays and four terminals: the graph
+        # keeps each terminal's flow, whose int32 level is 4 bytes a node.
+        n = 10**6
+        g = graph_from_json({"n_relays": n, "terminals": [n + 1, n + 2, n + 3, n + 4],
+                             "edges": [[0, 1], [1, 2], *([2, t] for t in range(n + 1, n + 5))]})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            flows = [min_cut(g, t) for t in g.terminal_ids]
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert [flow.paths() for flow in flows] == [[[0, 1, 2, t]] for t in g.terminal_ids]
+        assert kept <= 5 * g.n_nodes * g.n_terminals, kept / g.n_nodes
+
     def test_cancellation_from_the_upper_endpoint(self):
         # The mirror of test_replay_across_a_cancelled_arc: phase 1 routes
         # s-2-1-t, from the upper endpoint of edge 1-2; phase 2 reaches 1 by
@@ -1099,7 +1168,7 @@ class TestFlowEngines:
         edges = [(0, 2), (1, 2), (1, 15), (0, 3), (3, 4), (1, 4), (2, 5), (5, 6), (6, 15),
                  (0, 8), *[(k, k + 1) for k in range(8, 14)], (14, 15)]
         g = from_edges(14, 1, edges)
-        for flow in (_csr_flow(g, 15), _bitset_flow(g, 15), min_cut(g, 15)):
+        for flow in (_csr_flow(g, 15), _bitset_flow(g, 15, _residual_rows(g)), min_cut(g, 15)):
             assert flow.ends == (3, 10, 18)
             assert flow.hops.tolist() == [2, 1, 15, 3, 4, 1, 2, 5, 6, 15, *range(8, 16)]
             assert flow.paths(2) == [[0, 2, 5, 6, 15], [0, 3, 4, 1, 15]]
@@ -1111,7 +1180,7 @@ class TestFlowEngines:
         # of the cut holds it.
         g = from_edges(5, 1, [(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (2, 5), (2, 6),
                               (4, 6)])
-        for flow in (_csr_flow(g, 6), _bitset_flow(g, 6)):
+        for flow in (_csr_flow(g, 6), _bitset_flow(g, 6, _residual_rows(g))):
             assert flow.hops.tolist() == [1, 2, 6, 3, 2, 1, 4, 6]
             assert flow.level.tolist() == [0, 3, 2, 3, -1, 1, -1]
         cut = min_cut(g, 6)
@@ -1166,7 +1235,7 @@ class TestResidualRows:
         assert_engines_agree(graphs)
 
     def test_packing_memory_just_above_the_engine_switch(self):
-        # The fewest edges for which _max_flow takes the rows at n = 2000:
+        # The fewest edges for which _max_flows takes the rows at n = 2000:
         # the packing works in blocks and its temporaries stay within about
         # 16 bytes per arc, as the CSR engine's int64 arc order would take.
         n_relays, n_terminals = 1997, 2
@@ -1209,7 +1278,7 @@ def small_graphs(draw):
 def test_engines_agree_with_the_exhaustive_oracle(case):
     g, t = case
     flow = _csr_flow(g, t)
-    assert_same_flow(flow, _bitset_flow(g, t))
+    assert_same_flow(flow, _bitset_flow(g, t, _residual_rows(g)))
     # The hops are s-t paths of the graph itself, shortest first, as Dinic
     # finds them: a check against the graph, not against the other engine.
     edges = set(g.edge_list())

@@ -248,25 +248,11 @@ class TestVerifyAchievability:
             checked += 1
         assert checked > 5
 
-    def test_given_cuts_give_the_same_report(self):
-        # run_trial hands over the cuts it computed; h and every draw must be
-        # as if verify_achievability had computed them itself.
-        model = ConnectionModel(r=0.2, r_prime=0.4, kernel="fixed", p=0.5)
-        for seed in range(20):
-            g = build_connectivity_graph(12, 1 + seed % 3, model, RandomStream.from_seed(seed))
-            cuts = [min_cut(g, t) for t in g.terminal_ids]
-            given = verify_achievability(g, 8, RandomStream.from_seed(seed), cuts=cuts)
-            assert given == verify_achievability(g, 8, RandomStream.from_seed(seed))
-            assert given.h == min(cut.capacity for cut in cuts)
-
     def test_cuts_must_be_flow_cuts_of_every_terminal_in_order(self):
         g = butterfly_graph()
         cuts = [min_cut(g, t) for t in g.terminal_ids]
         oracle = [brute_force_min_cut(g, t) for t in g.terminal_ids]
         assert oracle == [(cut.terminal, cut.partition_vk, cut.capacity) for cut in cuts]
-        for bad in (cuts[:1], cuts[::-1], oracle, [cut.capacity for cut in cuts], []):
-            with pytest.raises(ValueError):
-                verify_achievability(g, 8, RandomStream.from_seed(1), cuts=bad)
         given = build_coding_dag(cuts, 2)
         assert dag_fields(given) == dag_fields(build_coding_dag(flows(g), 2))
 
@@ -274,9 +260,8 @@ class TestVerifyAchievability:
         # The constructor accepts a graph with no terminal; the check used to
         # fail inside min() and build_coding_dag inside flows[0].
         g = from_edges(2, 0, [(0, 1), (1, 2)])
-        for cuts in (None, []):
-            with pytest.raises(ValueError, match="^need at least one terminal$"):
-                verify_achievability(g, 8, RandomStream.from_seed(1), cuts=cuts)
+        with pytest.raises(ValueError, match="^need at least one terminal$"):
+            verify_achievability(g, 8, RandomStream.from_seed(1))
         for rate in (0, 1):
             with pytest.raises(ValueError, match="^need at least one terminal$"):
                 build_coding_dag([], rate)
@@ -342,8 +327,7 @@ class TestDecodeProbability:
             if isinstance(dag, CyclicSkip):
                 continue
             p = predicted_decode_probability(g, dag, g.terminal_ids[0], GF256.order)
-            report = verify_achievability(
-                g, trials, RandomStream.from_seed(seed).child("rlnc"), cuts=cuts)
+            report = verify_achievability(g, trials, RandomStream.from_seed(seed).child("rlnc"))
             observed += round(report.success_fraction * trials)
             expected += trials * p
             variance += trials * p * (1 - p)
@@ -497,7 +481,7 @@ class TestCodingMemory:
         bound = flows_peak + 32 * CODING_BLOCK * len(dag.arcs) * dag.rate
 
         def check():
-            return verify_achievability(g, trials, RandomStream.from_seed(1), cuts=cuts)
+            return verify_achievability(g, trials, RandomStream.from_seed(1))
 
         peak, report = traced_peak(check)
         assert report.h == dag.rate and not report.cyclic_skipped

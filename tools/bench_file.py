@@ -11,8 +11,8 @@ the median time of the build and `min_cut` stages (one terminal) at n = 200,
 degree about 24, so `min_cut` takes the CSR engine), measured on the sources
 under `--src`. The "200 x4 rlnc" row is the multicast trial: the fig3 radii
 at n = 200 with 4 terminals, `min_cut` for all of them, then the
-random-coding check on those cuts (`verify_achievability`, 64 coding
-trials) as its `rlnc` stage. Beside the build and `min_cut` times, each
+random-coding check on the flows those runs leave on the graph
+(`verify_achievability`, 64 coding trials) as its `rlnc` stage. Beside the build and `min_cut` times, each
 row keeps the median count of minor page faults per graph around each of
 the two (`ru_minflt` of this process, read before and after): memory the
 allocator handed back to the system between graphs and takes again. With
@@ -23,7 +23,9 @@ and the row keeps both medians, the median over rounds of the round's
 comparison does not move with the host. Beside each count it keeps, and
 prints, the exact two-sided sign-test p-value of that count: how often a
 count at least that far from half the rounds comes up when neither tree is
-faster (10 of 10 gives 0.002; 8 of 10, 0.11).
+faster (10 of 10 gives 0.002; 8 of 10, 0.11). Last, the tier-1 suite runs
+once in this checkout (`python -m pytest -q --continue-on-collection-errors`),
+and the record keeps its wall seconds and its passed and failed counts.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import argparse
 import json
 import math
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -70,7 +73,7 @@ def stage_times(src: str, n: int, terminals: int, count: int, fields: dict,
                 coding_trials: int) -> dict:
     """Per-graph seconds of each stage of one stage row, on the qrggsim
     under `src`: the build, `min_cut` for every terminal and, with coding
-    trials, the coding check on those cuts (`rlnc`); the minor page faults
+    trials, the coding check on those flows (`rlnc`); the minor page faults
     of the build and of `min_cut` per graph (`build_minflt`,
     `min_cut_minflt`); and the mean degree of the graphs timed."""
     sys.path.insert(0, src)
@@ -88,14 +91,15 @@ def stage_times(src: str, n: int, terminals: int, count: int, fields: dict,
         f0, t0 = faults(), time.perf_counter()
         g = build_connectivity_graph(n, terminals, model, stream)
         t1, f1 = time.perf_counter(), faults()
-        cuts = [min_cut(g, t) for t in g.terminal_ids]
+        for t in g.terminal_ids:
+            min_cut(g, t)
         t2, f2 = time.perf_counter(), faults()
         times["build"].append(t1 - t0)
         times["min_cut"].append(t2 - t1)
         times["build_minflt"].append(f1 - f0)
         times["min_cut_minflt"].append(f2 - f1)
         if coding_trials:
-            verify_achievability(g, coding_trials, stream.child("rlnc"), cuts=cuts)
+            verify_achievability(g, coding_trials, stream.child("rlnc"))
             times.setdefault("rlnc", []).append(time.perf_counter() - t2)
         degree.append(2 * len(g.edges) / g.n_nodes)
     return {**times, "mean_degree": statistics.mean(degree)}
@@ -154,6 +158,20 @@ def stage_medians(src: Path, parent_src: Path | None = None) -> dict:
             "medians": out}
 
 
+def tier1() -> dict:
+    """Wall seconds of one tier-1 run in this checkout, with the passed and
+    failed counts of its summary line."""
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           "--continue-on-collection-errors"],
+                          cwd=ROOT, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    summary = (done.stdout.strip().splitlines() or [""])[-1]
+    counts = {word: int(k) for k, word in re.findall(r"(\d+) (passed|failed)\b", summary)}
+    return {"seconds": seconds, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("records", nargs="+", type=Path)
@@ -189,7 +207,7 @@ def main(argv=None) -> int:
     summary = {key: {k: spread(v) for k, v in metrics.items()}
                for key, metrics in sorted(summary.items())}
     doc = {"label": args.label, "note": args.note, "runs": runs, "summary": summary,
-           "stages": stage_medians(args.src, args.parent_src)}
+           "stages": stage_medians(args.src, args.parent_src), "tier1": tier1()}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
