@@ -69,7 +69,7 @@ class ConnectivityGraph:
         # Sorted rows hold the source's edges as the first run and any
         # terminal-terminal edge last.
         first_t = 1 + self.n_relays
-        k = int(np.searchsorted(i, 1))
+        k = self.source_degree()
         if k and j[k - 1] >= first_t:
             raise ValueError("source-terminal edges are forbidden")
         if len(e) and i[-1] >= first_t:
@@ -97,7 +97,8 @@ class ConnectivityGraph:
         return 1 + self.n_relays + self.n_terminals
 
     def source_degree(self) -> int:
-        return int(np.count_nonzero(self.edges[:, 0] == 0))
+        """The length of the sorted edge rows' first run, the source's."""
+        return int(np.searchsorted(self.edges[:, 0], 1))
 
     def edge_list(self) -> list[tuple[int, int]]:
         """All unit edges as sorted (i, j) pairs with i < j."""
@@ -313,45 +314,44 @@ class Flow:
     value, and the nodes the final residual network reaches are the cut's
     source side.
 
-    level[v] >= 0 iff v is reachable from the source in the final residual
-    network. `hops` holds the nodes each augmenting path visits after the
-    source, in augmentation order: path k is 0, hops[ends[k - 1]:ends[k]]
-    (ends[-1] read as 0) and ends at the terminal. Both arrays are
-    read-only: every min_cut of the graph returns this one Flow.
+    `source_side` holds those nodes but the source, sorted, as int32.
+    `hops` holds the nodes each augmenting path visits after the source, in
+    augmentation order: path k is 0, hops[ends[k - 1]:ends[k]] (ends[-1]
+    read as 0) and ends at the terminal. Both arrays are read-only: every
+    min_cut of the graph returns this one Flow.
     """
 
     terminal: int
     capacity: int
-    level: np.ndarray
+    source_side: np.ndarray
     hops: np.ndarray
     ends: tuple[int, ...]
 
     def __post_init__(self):
-        self.level.setflags(write=False)
+        self.source_side.setflags(write=False)
         self.hops.setflags(write=False)
 
     @property
     def partition_vk(self) -> tuple[int, ...]:
-        """The cut's certificate: the nodes but the source (node 0, level 0)
-        that the final residual network reaches, sorted; every min cut's
-        source side holds them. They are relays only: the flow's own
+        """The cut's certificate, source_side as a tuple: every min cut's
+        source side holds these nodes. They are relays only: the flow's own
         terminal would leave an augmenting path, and no flow enters another."""
-        return tuple(np.flatnonzero(self.level >= 0)[1:].tolist())
+        return tuple(self.source_side.tolist())
 
     def arcs(self, limit: int) -> np.ndarray:
         """The arcs u -> v that carry a unit after the first `limit`
-        augmenting paths, as sorted int64 keys u * N + v, N = len(level).
-        Each path's tails are the source, then its hops shifted by one; u -> v
-        carries a unit when the paths hop u -> v more often than v -> u, since
-        opposite hops cancel as the flow's units do. `limit` is an int,
-        clamped to 0..capacity, as in paths."""
+        augmenting paths, as sorted int64 keys u << 32 | v (node ids are
+        below 2**31). Each path's tails are the source, then its hops shifted
+        by one; u -> v carries a unit when the paths hop u -> v more often
+        than v -> u, since opposite hops cancel as the flow's units do.
+        `limit` is an int, clamped to 0..capacity, as in paths."""
         _require_int("limit", limit)
         limit = max(0, min(limit, self.capacity))
-        n, bounds = len(self.level), (0, *self.ends)
+        bounds = (0, *self.ends)
         heads = self.hops[:bounds[limit]].astype(np.int64)
         tails = heads[np.arange(len(heads)) - 1]
         tails[list(bounds[:limit])] = 0  # where a path starts
-        hops, which = np.unique(np.concatenate([tails * n + heads, heads * n + tails]),
+        hops, which = np.unique(np.concatenate([tails << 32 | heads, heads << 32 | tails]),
                                 return_inverse=True)
         net = np.bincount(which, np.repeat([1, -1], len(heads)), len(hops))
         return hops[net > 0]
@@ -423,8 +423,8 @@ def _max_flows(graph: ConnectivityGraph) -> tuple[Flow, ...]:
     Arcs are source->relay, both directions of each relay-relay edge (pairs
     i < j row-major, i->j first) and relay->terminal, in that order; the
     residual partner of arc e is e ^ 1. Other terminals get no arcs. Stops
-    once min(deg s, deg t) units flow, which bounds the max flow. A caller
-    that wants fewer units takes a prefix of the paths (Flow.paths).
+    once `bound` = min(deg s, deg t) units flow, which bounds the max flow.
+    A caller that wants fewer units takes a prefix of the paths (Flow.paths).
 
     Each phase sets levels by BFS and keeps the level-graph arcs (residual,
     one level up) into nodes from which the terminal is reachable; an
@@ -442,37 +442,39 @@ def _max_flows(graph: ConnectivityGraph) -> tuple[Flow, ...]:
 
     Returns the Flows, with the node path of each augmentation.
     """
-    n = graph.n_nodes
+    n, first_t, j = graph.n_nodes, 1 + graph.n_relays, graph.edges[:, 1]
+    deg_t = np.bincount(j[j >= first_t] - first_t, minlength=graph.n_terminals)
+    flows = zip(graph.terminal_ids, np.minimum(deg_t, graph.source_degree()).tolist())
     if -(-n // 64) * n > 2 * len(graph.edges):
-        return tuple(_csr_flow(graph, t) for t in graph.terminal_ids)
+        return tuple(_csr_flow(graph, t, bound) for t, bound in flows)
     rows = _residual_rows(graph)
-    return tuple(_bitset_flow(graph, t, list(rows)) for t in graph.terminal_ids)
+    return tuple(_bitset_flow(graph, t, bound, list(rows)) for t, bound in flows)
 
 
 def _flow_arcs(graph: ConnectivityGraph, terminal: int):
     """_csr_flow's arcs: forward arc 2k runs tail[k] -> head[k], as int32
-    arrays; plus the flow's bound, min(deg s, deg t)."""
+    arrays."""
     e = graph.edges.astype(np.int32)
     i, j = e[:, 0], e[:, 1]
-    src = j[i == 0]
+    src = j[:graph.source_degree()]
     relay = (i > 0) & (j <= graph.n_relays)
     # Column by column: selecting or reversing the (E, 2) rows is far slower.
     ri, rj = i[relay], j[relay]
     dst = i[j == terminal]
     tail = np.concatenate([np.zeros_like(src), np.stack([ri, rj], 1).ravel(), dst])
     head = np.concatenate([src, np.stack([rj, ri], 1).ravel(), np.full_like(dst, terminal)])
-    return tail, head, min(len(src), len(dst))
+    return tail, head
 
 
-def _csr_flow(graph: ConnectivityGraph, terminal: int):
+def _csr_flow(graph: ConnectivityGraph, terminal: int, bound: int):
     """One terminal's flow of _max_flows with each phase's O(E) work in
     numpy: a frontier BFS sets the levels, a backward sweep keeps the
     level-graph arcs, and the DFS walks the kept arcs in CSR order. They
     run on the nodes the arcs touch, with the source and the terminal,
     renumbered in id order, which keeps every choice; only the final
-    `level` and `hops` are mapped back to node ids, so nodes without arcs
-    cost no phase any memory."""
-    tail, head, bound = _flow_arcs(graph, terminal)
+    source side and `hops` are mapped back to node ids, so nodes without
+    arcs cost no phase any memory."""
+    tail, head = _flow_arcs(graph, terminal)
     ids, local = np.unique(np.concatenate([np.array([0, terminal], np.int32), tail, head]),
                            return_inverse=True)
     n, t = len(ids), int(local[1])
@@ -512,9 +514,9 @@ def _csr_flow(graph: ConnectivityGraph, terminal: int):
                 break
             frontier = np.flatnonzero(level == len(layers))
         if level[t] < 0 or flow >= bound:
-            node_level = np.full(graph.n_nodes, -1, np.int32)
-            node_level[ids] = level
-            return Flow(terminal, flow, node_level, ids[np.concatenate(hops)], tuple(ends))
+            # ids[0] is the source, at level 0.
+            return Flow(terminal, flow, ids[level >= 0][1:], ids[np.concatenate(hops)],
+                        tuple(ends))
         # Backward sweep: reach[v] is v's level once v is known to reach the
         # terminal, else -1.
         reach = np.full(n, -1, np.int32)
@@ -555,7 +557,7 @@ def _csr_flow(graph: ConnectivityGraph, terminal: int):
         hops.append(to[spent])
 
 
-def _bitset_flow(graph: ConnectivityGraph, terminal: int, res: list[int]):
+def _bitset_flow(graph: ConnectivityGraph, terminal: int, bound: int, res: list[int]):
     """One terminal's flow of _max_flows with each phase on Python-int
     bitset rows: `res`, the graph's _residual_rows, which it changes.
 
@@ -574,22 +576,19 @@ def _bitset_flow(graph: ConnectivityGraph, terminal: int, res: list[int]):
 
     The rows come straight from the edges, with no arc arrays. They hold
     the arcs into every terminal: the other terminals start out seen, so no
-    BFS level, sweep or DFS meets them. The flow's bound, min(deg s,
-    deg t), is the bits of row 0 and the relays adjacent to the terminal.
+    BFS level, sweep or DFS meets them.
     """
-    n = graph.n_nodes
-    bound = min(res[0].bit_count(), int(np.count_nonzero(graph.edges[:, 1] == terminal)))
     first_t = 1 + graph.n_relays
     others = (((1 << graph.n_terminals) - 1) << first_t) ^ (1 << terminal)
-    width = (n + 7) // 8
+    width = (graph.n_nodes + 7) // 8
     carried = set()  # the arcs u -> v that carry a unit
     hops = []
     ends = []
     flow = 0
     while True:
         # levels[d] lists the level-d nodes. Below the bound the BFS stops
-        # at the terminal's level, len(levels), and lists none of it: only
-        # the last phase sets `level`, and it never stops there.
+        # at the terminal's level, len(levels), and lists none of it; the
+        # last phase never stops there, so its `seen` is the source side.
         levels = [[0]]
         seen = 1 | others
         while True:
@@ -638,10 +637,8 @@ def _bitset_flow(graph: ConnectivityGraph, terminal: int, res: list[int]):
             else:
                 break
 
-    level = np.full(n, -1, np.int32)
-    for d, nodes in enumerate(levels):
-        level[nodes] = d
-    return Flow(terminal, flow, level, np.array(hops, np.int32), tuple(ends))
+    side = np.array(_bit_ids(seen & ~(1 | others), width), np.int32)
+    return Flow(terminal, flow, side, np.array(hops, np.int32), tuple(ends))
 
 
 def _residual_rows(graph: ConnectivityGraph) -> list[int]:
@@ -770,7 +767,8 @@ def graph_from_json(obj: dict) -> ConnectivityGraph:
             model=model, seed=seed,
         )
     except (KeyError, TypeError, OverflowError) as exc:  # a number no float holds
-        raise ValueError(f"malformed graph document: {exc!r}") from exc
+        why = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else repr(exc)
+        raise ValueError(f"malformed graph document: {why}") from exc
 
 
 def save_graph(graph: ConnectivityGraph, path: str):

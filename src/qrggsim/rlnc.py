@@ -84,10 +84,9 @@ def build_coding_dag(flows, rate: int):
         raise ValueError("need at least one terminal")
     if any(flow.capacity < rate for flow in flows):
         raise ValueError("rate exceeds the multicast capacity")
-    n = len(flows[0].level)
     # Sorted, less repeats: np.unique with no return flag imports numpy.ma.
     keys = np.sort(np.concatenate([flow.arcs(rate) for flow in flows]))
-    arcs = np.stack(np.divmod(keys[np.diff(keys, prepend=-1) > 0], n), axis=1)
+    arcs = np.stack([keys >> 32, keys & 0xFFFFFFFF], axis=1)[np.diff(keys, prepend=-1) > 0]
 
     # Local node indices keep the node order, and the arcs, sorted by tail,
     # are their own out-arc CSR.

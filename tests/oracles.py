@@ -1,9 +1,10 @@
 """Independent oracles and small fixture graphs for the tests.
 
 They live outside the package so that the program cannot import the oracles
-that check it: the exhaustive-partition min cut checks the max flow, and the
-Monte Carlo pair-probability estimate checks `connection_probability`'s value
-and `p_prime_bounds`' interval.
+that check it: the exhaustive-partition min cut checks the max flow, the
+residual BFS checks a flow's source side, and the Monte Carlo
+pair-probability estimate checks `connection_probability`'s value and
+`p_prime_bounds`' interval.
 """
 
 from __future__ import annotations
@@ -41,6 +42,39 @@ def brute_force_min_cut(graph: ConnectivityGraph, terminal: int) -> BruteForceCu
         for vk in itertools.combinations(graph.relay_ids, k)
     )
     return BruteForceCut(terminal, vk, capacity)
+
+
+def residual_levels(graph: ConnectivityGraph, flow) -> list[int]:
+    """Independent oracle: each node's BFS distance from the source in the
+    final residual network of `flow`, -1 where it is not reached.
+
+    Built from graph.edge_list() and the arcs that flow.paths() carry. The
+    network has no arc into the source, none out of a terminal and none into
+    another terminal; of the rest, arc u -> v is live unless the flow
+    carries u -> v (a unit on v -> u leaves u -> v its own and the residual
+    one).
+    """
+    terminals = set(graph.terminal_ids)
+    carried = {(u, v) for path in flow.paths() for u, v in zip(path, path[1:])}
+    out = [[] for _ in range(graph.n_nodes)]
+    for i, j in graph.edge_list():
+        for u, v in ((i, j), (j, i)):
+            if (v == 0 or u in terminals or (v in terminals and v != flow.terminal)
+                    or (u, v) in carried):
+                continue
+            out[u].append(v)
+    level = [-1] * graph.n_nodes
+    level[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in out[u]:
+                if level[v] < 0:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return level
 
 
 def estimate_connection_probability(

@@ -66,7 +66,7 @@ def test_main_writes_runs_summary_and_stage_rows(bench_file, tmp_path, monkeypat
     for row in rows.values():
         assert row["graphs"] == 2 and row["build_ms"] > 0 and row["min_cut_ms"] > 0
         assert row["build_minflt"] >= 0 and row["min_cut_minflt"] >= 0
-        assert row["mean_degree"] >= 0
+        assert row["mean_degree"] >= 0 and row["flow_bytes"] >= 0
     assert "rlnc_ms" not in rows["30"] and rows["30"]["terminals"] == 1
     assert "rlnc_minflt" not in rows["30 x3 rlnc"]
     coding = rows["30 x3 rlnc"]
@@ -94,6 +94,7 @@ def test_parent_src_alternates_the_trees_and_keeps_both_medians(bench_file, tmp_
         scale = 2e-3 if slow else 1e-3
         return {"build": [2 * scale, 3 * scale], "min_cut": [scale, scale],
                 "build_minflt": [0, 2000] if slow else [0, 0], "min_cut_minflt": [1, 3],
+                "flow_bytes": [900, 1100] if src.name == "parent" else [40, 60],
                 "mean_degree": 5.0}
 
     monkeypatch.setattr(bench_file, "time_in_child", fake_child)
@@ -113,6 +114,7 @@ def test_parent_src_alternates_the_trees_and_keeps_both_medians(bench_file, tmp_
     # Faults pool over rounds as times do: of 0, 0 (three rounds) and 0, 2000.
     assert (row["build_minflt"], row["parent_build_minflt"]) == (0, 1000)
     assert row["min_cut_minflt"] == row["parent_min_cut_minflt"] == 2
+    assert (row["flow_bytes"], row["parent_flow_bytes"]) == (50, 1000)
     # 3 of 4: the tails 0, 1 and 3, 4 hold 10 of the 16 outcomes.
     assert row["build_sign_p"] == row["min_cut_sign_p"] == pytest.approx(10 / 16)
     printed = capsys.readouterr().out
@@ -149,6 +151,23 @@ def test_stage_times_counts_minor_faults_around_each_stage(bench_file, monkeypat
     times = bench_file.stage_times(src, 30, 1, 2, bench_file.FIG3, 0)
     assert times["build_minflt"] == [5, 2] and times["min_cut_minflt"] == [2, 7]
     assert len(times["build"]) == len(times["min_cut"]) == 2
+
+
+def test_stage_times_keeps_the_bytes_of_each_graphs_flows(bench_file):
+    # The flows' source sides and hops, summed over the graph's terminals:
+    # the arrays the graph keeps after min_cut.
+    src = str(TOOL.parent.parent / "src")
+    times = bench_file.stage_times(src, 200, 3, 2, bench_file.FIG3, 0)
+    from qrggsim import ConnectionModel, RandomStream, build_connectivity_graph, min_cut
+
+    expected = []
+    for seed in (bench_file.STAGE_SEED, bench_file.STAGE_SEED + 1):
+        g = build_connectivity_graph(200, 3, ConnectionModel.from_json(bench_file.FIG3),
+                                     RandomStream.from_seed(seed))
+        flows = [min_cut(g, t) for t in g.terminal_ids]
+        expected.append(sum(f.source_side.nbytes + f.hops.nbytes for f in flows))
+    assert times["flow_bytes"] == expected
+    assert min(expected) > 0
 
 
 @pytest.mark.parametrize("summary, passed, failed", [

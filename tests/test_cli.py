@@ -108,6 +108,17 @@ class TestExitCodes:
             assert code == 1
             assert "error" in err
 
+    @pytest.mark.parametrize("field", ["n_relays", "terminals", "edges"])
+    def test_a_missing_field_is_named(self, capsys, tmp_path, field):
+        # The message read KeyError('terminals').
+        doc = {"n_relays": 1, "terminals": [2], "edges": [[0, 1], [1, 2]]}
+        del doc[field]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "capacity", "--graph", str(bad))
+        assert (code, out) == (1, "")
+        assert f"malformed graph document: missing field '{field}'" in err.splitlines()[-1]
+
     @pytest.mark.parametrize("argv, message", [
         (["generate", "--n", "0", "--seed", "1", "--out", "@g.json"],
          "need at least one relay and one terminal"),

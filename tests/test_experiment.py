@@ -75,9 +75,9 @@ class TestRunTrial:
         # check reads those, so a trial runs one max flow per terminal.
         calls = []
         for name in ("_bitset_flow", "_csr_flow"):
-            def counted(graph, terminal, *rows, engine=getattr(graph_module, name)):
+            def counted(graph, terminal, *args, engine=getattr(graph_module, name)):
                 calls.append(terminal)
-                return engine(graph, terminal, *rows)
+                return engine(graph, terminal, *args)
 
             monkeypatch.setattr(graph_module, name, counted)
         config = small_config(n_relays=200, n_terminals=4, trials=1, rlnc_check=True)

@@ -40,7 +40,7 @@ from qrggsim.graph import (
 )
 from qrggsim.model import kernel_probability
 
-from oracles import brute_force_min_cut, butterfly_graph, wheatstone_graph
+from oracles import brute_force_min_cut, butterfly_graph, residual_levels, wheatstone_graph
 
 FIG3 = ConnectionModel(r=0.1, r_prime=0.2, kernel="fixed", p=0.5)
 FLOW_PIN = "8d16df39d7082cd8b5782647f5ce4251a1a6ff6f2fd444cd36f8db8ff4e2915e"
@@ -814,7 +814,9 @@ class TestFlowPin:
 
     def test_flow_at_scale_is_pinned(self):
         # Large graphs take several Dinic phases, so this pins every phase's
-        # augmenting paths, not only the few phases an n=200 flow has.
+        # augmenting paths, not only the few phases an n=200 flow has. The
+        # levels of the final residual network, which the flows kept when
+        # the pin was taken, come from the independent oracle.
         graphs = [
             build_connectivity_graph(n, tau, FIG3, RandomStream.from_seed(seed))
             for n, tau, seed in [(1000, 2, 41), (1000, 1, 42), (2000, 1, 43)]
@@ -823,7 +825,7 @@ class TestFlowPin:
         for g in graphs:
             for t in g.terminal_ids:
                 flow = min_cut(g, t)
-                records.append([int(flow.capacity), np.asarray(flow.level, int).tolist(),
+                records.append([int(flow.capacity), residual_levels(g, flow),
                                 np.asarray(flow.hops, int).tolist(), list(flow.ends)])
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == SCALE_FLOW_PIN
@@ -927,7 +929,7 @@ class TestFlowReplay:
             for t in g.terminal_ids:
                 flow = min_cut(g, t)
                 for limit in range(-1, flow.capacity + 2):
-                    replay = sorted(u * g.n_nodes + v for path in flow.paths(limit)
+                    replay = sorted(u << 32 | v for path in flow.paths(limit)
                                     for u, v in zip(path, path[1:]))
                     arcs = flow.arcs(limit)
                     assert arcs.dtype == np.int64 and arcs.tolist() == replay, (t, limit)
@@ -981,15 +983,27 @@ class TestScipyOracle:
 def assert_same_flow(a, b):
     """Field-for-field equality of two Flows, dtypes included."""
     assert (a.terminal, a.capacity, a.ends) == (b.terminal, b.capacity, b.ends)
-    for name in ("level", "hops"):
+    for name in ("source_side", "hops"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def degree_bound(g, t) -> int:
+    """min(deg s, deg t), counted over the edge columns."""
+    return min(int(np.count_nonzero(g.edges[:, 0] == 0)),
+               int(np.count_nonzero(g.edges[:, 1] == t)))
+
+
+def engine_flows(g, t):
+    """The terminal's flow from each engine, CSR first."""
+    bound = degree_bound(g, t)
+    return _csr_flow(g, t, bound), _bitset_flow(g, t, bound, _residual_rows(g))
 
 
 def assert_engines_agree(graphs):
     for g in graphs:
         for t in g.terminal_ids:
-            assert_same_flow(_csr_flow(g, t), _bitset_flow(g, t, _residual_rows(g)))
+            assert_same_flow(*engine_flows(g, t))
 
 
 def sparse_model(r_prime):
@@ -1020,12 +1034,12 @@ class TestFlowEngines:
         assert_engines_agree([g])
 
     def test_partition_is_the_reached_relays_and_holds_no_terminal(self):
-        # partition_vk reads every node but the source that the final
-        # residual network reaches. That is the relays' source side only if
-        # no terminal is reached: not the flow's own, which would leave an
-        # augmenting path, nor another, which no flow enters. Both engines, on
-        # dense and sparse graphs, flows that stop below and at the bound
-        # min(deg s, deg t).
+        # source_side and partition_vk hold every node but the source that
+        # the final residual network reaches, as the oracle's BFS finds them.
+        # That is the relays' source side only if no terminal is reached: not
+        # the flow's own, which would leave an augmenting path, nor another,
+        # which no flow enters. Both engines, on dense and sparse graphs,
+        # flows that stop below and at the bound min(deg s, deg t).
         graphs = [random_graph(seed, n_relays=4 + seed % 27, n_terminals=1 + seed % 4)
                   for seed in range(60)]
         graphs += [build_connectivity_graph(200, 1 + seed % 4, FIG3, RandomStream.from_seed(seed))
@@ -1034,11 +1048,12 @@ class TestFlowEngines:
                                             RandomStream.from_seed(seed)) for seed in range(4)]
         at_bound = below = 0
         for g in graphs:
-            relays = np.array(g.relay_ids, int)
             for t in g.terminal_ids:
-                bound = min(g.source_degree(), int(np.count_nonzero(g.edges[:, 1] == t)))
-                for flow in (_csr_flow(g, t), _bitset_flow(g, t, _residual_rows(g))):
-                    assert list(flow.partition_vk) == relays[flow.level[relays] >= 0].tolist()
+                bound = degree_bound(g, t)
+                for flow in engine_flows(g, t):
+                    side = [v for v, d in enumerate(residual_levels(g, flow)) if d > 0]
+                    assert flow.source_side.dtype == np.int32
+                    assert flow.source_side.tolist() == list(flow.partition_vk) == side
                     assert not set(flow.partition_vk) & set(g.terminal_ids)
                     assert cut_capacity(g, t, flow.partition_vk) == flow.capacity
                 at_bound += flow.capacity == bound
@@ -1049,7 +1064,7 @@ class TestFlowEngines:
         chosen = []
         for name in ("_csr_flow", "_bitset_flow"):
             monkeypatch.setattr(graph_module, name,
-                                lambda g, t, *rows, name=name: chosen.append(name))
+                                lambda g, t, *args, name=name: chosen.append(name))
         chain = from_edges(1199, 1, [(k, k + 1) for k in range(1200)])
         # A few edges among a huge number of relays: rows would be O(n^2) bits.
         scattered = graph_from_json({"n_relays": 10**6, "terminals": [10**6 + 1],
@@ -1090,8 +1105,8 @@ class TestFlowEngines:
             for t in g.terminal_ids:
                 assert forward[t].terminal == t and backward[t] is forward[t]
                 assert_same_flow(forward[t], fresh[t])
-                assert_same_flow(_csr_flow(g, t), fresh[t])
-                assert_same_flow(_bitset_flow(g, t, _residual_rows(g)), fresh[t])
+                for flow in engine_flows(g, t):
+                    assert_same_flow(flow, fresh[t])
             assert set(vars(g)) == GRAPH_FIELDS | {"_flows"}
             assert vars(g)["_flows"] == tuple(forward[t] for t in g.terminal_ids)
 
@@ -1102,8 +1117,8 @@ class TestFlowEngines:
         sparse = from_edges(10**4, 1, [(0, 1), (1, 2), (2, 10**4 + 1)])
         for g in (dense, sparse):
             t = g.terminal_ids[0]
-            for flow in (min_cut(g, t), _csr_flow(g, t), _bitset_flow(g, t, _residual_rows(g))):
-                for name in ("level", "hops"):
+            for flow in (min_cut(g, t), *engine_flows(g, t)):
+                for name in ("source_side", "hops"):
                     array = getattr(flow, name)
                     with pytest.raises(ValueError, match="read-only"):
                         array[0] = 7
@@ -1114,7 +1129,7 @@ class TestFlowEngines:
 
     def test_a_dense_graph_keeps_its_flows_and_not_its_rows(self):
         # Four terminals' rows would be N^2 bits, kept as long as the graph;
-        # its four flows keep a level of 4 bytes a node each and their hops.
+        # its four flows keep their source sides and hops.
         g = build_connectivity_graph(2000, 4, FIG3, RandomStream.from_seed(5))
         assert -(-g.n_nodes // 64) * g.n_nodes <= 2 * len(g.edges)  # the rows' engine
         tracemalloc.start()
@@ -1129,8 +1144,8 @@ class TestFlowEngines:
 
     def test_sparse_flow_memory_does_not_grow_with_idle_nodes(self):
         # Three edges among a million relays: the phases run on the four
-        # nodes the arcs touch, so what is left per relay is the Flow's int32
-        # level, 4 bytes. Phases over every node would take 36.
+        # nodes the arcs touch, so no array of theirs grows with the relays.
+        # Phases over every node would take 36 bytes a relay.
         n = 10**6
         g = from_edges(n, 1, [(0, 1), (1, 2), (2, n + 1)])
         tracemalloc.start()
@@ -1140,24 +1155,30 @@ class TestFlowEngines:
         finally:
             tracemalloc.stop()
         assert cut.capacity == 1 and cut.paths() == [[0, 1, 2, n + 1]]
-        assert cut.level.shape == (n + 2,)
         assert peak < 8 * n, peak / n
 
-    def test_a_sparse_graph_keeps_a_level_per_node_and_terminal(self):
-        # Six edges among a million relays and four terminals: the graph
-        # keeps each terminal's flow, whose int32 level is 4 bytes a node.
-        n = 10**6
-        g = graph_from_json({"n_relays": n, "terminals": [n + 1, n + 2, n + 3, n + 4],
-                             "edges": [[0, 1], [1, 2], *([2, t] for t in range(n + 1, n + 5))]})
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            flows = [min_cut(g, t) for t in g.terminal_ids]
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert [flow.paths() for flow in flows] == [[[0, 1, 2, t]] for t in g.terminal_ids]
-        assert kept <= 5 * g.n_nodes * g.n_terminals, kept / g.n_nodes
+    def test_a_sparse_graph_keeps_no_memory_per_node_and_terminal(self):
+        # Three edges among 200,000 relays and 500 terminals, a document of
+        # about 4 KB: the graph keeps each terminal's flow, and a flow that
+        # kept 4 bytes a node would keep 400 MB here. A few KB a terminal
+        # is kept, at 2,000 relays as at 200,000.
+        kept = {}
+        for n in (2000, 200_000):
+            terminals = list(range(n + 1, n + 501))
+            g = graph_from_json({"n_relays": n, "terminals": terminals,
+                                 "edges": [[0, 1], [1, 2], [2, n + 1]]})
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                flows = [min_cut(g, t) for t in terminals]
+                kept[n] = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert flows[0].paths() == [[0, 1, 2, n + 1]]
+            assert [flow.capacity for flow in flows[1:]] == [0] * 499
+            assert flows[1].partition_vk == (1, 2)
+        assert kept[200_000] < 2048 * 500, kept
+        assert kept[200_000] < 2 * kept[2000], kept
 
     def test_cancellation_from_the_upper_endpoint(self):
         # The mirror of test_replay_across_a_cancelled_arc: phase 1 routes
@@ -1168,7 +1189,7 @@ class TestFlowEngines:
         edges = [(0, 2), (1, 2), (1, 15), (0, 3), (3, 4), (1, 4), (2, 5), (5, 6), (6, 15),
                  (0, 8), *[(k, k + 1) for k in range(8, 14)], (14, 15)]
         g = from_edges(14, 1, edges)
-        for flow in (_csr_flow(g, 15), _bitset_flow(g, 15, _residual_rows(g)), min_cut(g, 15)):
+        for flow in (*engine_flows(g, 15), min_cut(g, 15)):
             assert flow.ends == (3, 10, 18)
             assert flow.hops.tolist() == [2, 1, 15, 3, 4, 1, 2, 5, 6, 15, *range(8, 16)]
             assert flow.paths(2) == [[0, 2, 5, 6, 15], [0, 3, 4, 1, 15]]
@@ -1180,9 +1201,10 @@ class TestFlowEngines:
         # of the cut holds it.
         g = from_edges(5, 1, [(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (2, 5), (2, 6),
                               (4, 6)])
-        for flow in (_csr_flow(g, 6), _bitset_flow(g, 6, _residual_rows(g))):
+        for flow in engine_flows(g, 6):
             assert flow.hops.tolist() == [1, 2, 6, 3, 2, 1, 4, 6]
-            assert flow.level.tolist() == [0, 3, 2, 3, -1, 1, -1]
+            assert residual_levels(g, flow) == [0, 3, 2, 3, -1, 1, -1]
+            assert flow.source_side.tolist() == [1, 2, 3, 5]
         cut = min_cut(g, 6)
         assert cut.partition_vk == (1, 2, 3, 5)
         assert cut_capacity(g, 6, cut.partition_vk) == cut.capacity == 2
@@ -1277,8 +1299,8 @@ def small_graphs(draw):
 @given(small_graphs())
 def test_engines_agree_with_the_exhaustive_oracle(case):
     g, t = case
-    flow = _csr_flow(g, t)
-    assert_same_flow(flow, _bitset_flow(g, t, _residual_rows(g)))
+    flow, bitset = engine_flows(g, t)
+    assert_same_flow(flow, bitset)
     # The hops are s-t paths of the graph itself, shortest first, as Dinic
     # finds them: a check against the graph, not against the other engine.
     edges = set(g.edge_list())

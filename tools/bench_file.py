@@ -15,7 +15,10 @@ random-coding check on the flows those runs leave on the graph
 (`verify_achievability`, 64 coding trials) as its `rlnc` stage. Beside the build and `min_cut` times, each
 row keeps the median count of minor page faults per graph around each of
 the two (`ru_minflt` of this process, read before and after): memory the
-allocator handed back to the system between graphs and takes again. With
+allocator handed back to the system between graphs and takes again. It
+also keeps the median bytes that a graph's flows hold after `min_cut`
+(`flow_bytes`: the `nbytes` of every array of each returned `Flow`), which
+the graph keeps for as long as it lives. With
 `--parent-src`, each stage row is timed
 on both source trees in alternating subprocesses, STAGE_ROUNDS rounds each,
 and the row keeps both medians, the median over rounds of the round's
@@ -75,8 +78,10 @@ def stage_times(src: str, n: int, terminals: int, count: int, fields: dict,
     under `src`: the build, `min_cut` for every terminal and, with coding
     trials, the coding check on those flows (`rlnc`); the minor page faults
     of the build and of `min_cut` per graph (`build_minflt`,
-    `min_cut_minflt`); and the mean degree of the graphs timed."""
+    `min_cut_minflt`); the bytes of the arrays of the graph's flows
+    (`flow_bytes`); and the mean degree of the graphs timed."""
     sys.path.insert(0, src)
+    import numpy as np
     from qrggsim import (ConnectionModel, RandomStream, build_connectivity_graph, min_cut,
                          verify_achievability)
 
@@ -84,16 +89,18 @@ def stage_times(src: str, n: int, terminals: int, count: int, fields: dict,
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
     model = ConnectionModel.from_json(fields)
-    times = {"build": [], "min_cut": [], "build_minflt": [], "min_cut_minflt": []}
+    times = {"build": [], "min_cut": [], "build_minflt": [], "min_cut_minflt": [],
+             "flow_bytes": []}
     degree = []
     for seed in range(STAGE_SEED, STAGE_SEED + count):
         stream = RandomStream.from_seed(seed)
         f0, t0 = faults(), time.perf_counter()
         g = build_connectivity_graph(n, terminals, model, stream)
         t1, f1 = time.perf_counter(), faults()
-        for t in g.terminal_ids:
-            min_cut(g, t)
+        flows = [min_cut(g, t) for t in g.terminal_ids]
         t2, f2 = time.perf_counter(), faults()
+        times["flow_bytes"].append(sum(a.nbytes for flow in flows for a in vars(flow).values()
+                                       if isinstance(a, np.ndarray)))
         times["build"].append(t1 - t0)
         times["min_cut"].append(t2 - t1)
         times["build_minflt"].append(f1 - f0)
@@ -150,6 +157,9 @@ def stage_medians(src: Path, parent_src: Path | None = None) -> dict:
                                  f"{stage}_sign_p": p})
                 print(f"{row} {stage}: ratio {ratio:.3f}, faster in {faster} of {rounds} "
                       f"rounds, sign-test p {p:.3g}")
+        for side, timed in runs.items():
+            out[row][f"{side}flow_bytes"] = statistics.median(
+                b for run in timed for b in run["flow_bytes"])
         if parent_src is not None:
             out[row]["rounds"] = rounds
             out[row]["parent_mean_degree"] = runs["parent_"][0]["mean_degree"]
